@@ -75,10 +75,12 @@ BENCHMARK(BM_LbeMeasure);
 void
 BM_LbeTrial8(benchmark::State &state)
 {
-    // The multi-log insert battery: one shared LbeLinePlan scored
-    // against eight independently warmed encoders — exactly what
-    // LogCache::insert does for every fill. This is the simulator's
-    // hottest loop and the primary perf-gate metric.
+    // An unbounded trial battery: one shared LbeLinePlan scored in full
+    // against eight independently warmed encoders, with no budget in
+    // play. It prices the full-cost trials of LogCache::insert (lines
+    // that fit, empty logs) and is the primary LBE perf-gate metric. It
+    // is not an insert: most insert trials go to logs the line cannot
+    // fit, and those stop at the budget (DESIGN.md §11).
     const auto lines = sampleLines(4096);
     std::vector<comp::LbeEncoder> encs(8);
     for (std::size_t e = 0; e < encs.size(); e++) {

@@ -266,10 +266,11 @@ LbeEncoder::restore(snap::Deserializer &d)
         hashInsert(values32_[i], static_cast<std::uint32_t>(i + 1));
 }
 
-template <bool kEmit, bool kStats>
+template <bool kEmit, bool kStats, bool kTrial>
 std::uint32_t
 LbeEncoder::encodeLine(const LbeLinePlan &plan, Overlay &ov,
-                       BitWriter *out, LbeStats *stats) const
+                       BitWriter *out, LbeStats *stats,
+                       std::uint32_t limit) const
 {
     std::uint32_t bits = 0;
     const auto note = [&](LbeSymbol s, bool zero) {
@@ -455,6 +456,15 @@ LbeEncoder::encodeLine(const LbeLinePlan &plan, Overlay &ov,
             }
         }
 
+        // A trial is never committed, so it skips the allocation below
+        // when no later chunk of this line can use it: after the last
+        // chunk, or once the score has passed the limit (the caller
+        // discards the score then; it only grows from here).
+        if constexpr (kTrial) {
+            if (chunk == 1 || bits > limit)
+                return bits;
+        }
+
         // Post-chunk tree-node allocation for the sub-chunks that
         // failed to match (Section 3.2.5).
         for (unsigned q = 0; q < 4; q++) {
@@ -510,12 +520,16 @@ LbeEncoder::measure(const CacheLine &line, LbeStats *stats) const
 }
 
 std::uint32_t
-LbeEncoder::measure(const LbeLinePlan &plan, LbeStats *stats) const
+LbeEncoder::measure(const LbeLinePlan &plan, LbeStats *stats,
+                    std::uint32_t limit) const
 {
     scratch_.clear();
-    if (stats)
-        return encodeLine<false, true>(plan, scratch_, nullptr, stats);
-    return encodeLine<false, false>(plan, scratch_, nullptr, nullptr);
+    if (stats) {
+        return encodeLine<false, true, true>(plan, scratch_, nullptr, stats,
+                                             limit);
+    }
+    return encodeLine<false, false, true>(plan, scratch_, nullptr, nullptr,
+                                          limit);
 }
 
 std::uint32_t
@@ -529,8 +543,10 @@ LbeEncoder::append(const LbeLinePlan &plan, BitWriter *out)
 {
     scratch_.clear();
     const std::uint32_t bits =
-        out ? encodeLine<true, true>(plan, scratch_, out, &stats_)
-            : encodeLine<false, true>(plan, scratch_, nullptr, &stats_);
+        out ? encodeLine<true, true, false>(plan, scratch_, out, &stats_,
+                                            kNoLimit)
+            : encodeLine<false, true, false>(plan, scratch_, nullptr,
+                                             &stats_, kNoLimit);
     commit(scratch_);
     return bits;
 }

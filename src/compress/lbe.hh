@@ -31,6 +31,21 @@
  * trials, trial scratch state is arena-reused across calls, and the
  * measure path is a compile-time clone of encodeLine with all
  * bit-stream output stripped.
+ *
+ * Budget-bounded trials. Most trials score a line against a log it
+ * cannot fit: counted on the perfbench workloads at seed 0, 84% of
+ * fig6-morc trials (72% over the 512 B data budget, 12% over the 2x
+ * tag store) and 81% of kv-morc trials. MORC rejects a log on its tag
+ * budget before any LBE work, and otherwise hands measure() the log's
+ * remaining data budget as a limit. The trial clone returns once its
+ * running score passes the limit, and never allocates the tree nodes
+ * that follow the last chunk (a trial is never committed). The result
+ * is exact: the score only grows while a line is encoded, so a score
+ * returned early exceeds the limit exactly when the full score would,
+ * and the caller reads no score beyond the limit. Trials against
+ * empty logs and trials that fit, the winner among them, still score
+ * every symbol, and append() runs the whole encoder, so emitted bits,
+ * wear and the Figure 7 symbol counts are unchanged (DESIGN.md §11).
  */
 
 #ifndef MORC_COMPRESS_LBE_HH
@@ -161,6 +176,9 @@ class LbeEncoder
   public:
     explicit LbeEncoder(const LbeConfig &cfg = LbeConfig{});
 
+    /** measure() limit that never stops a trial early. */
+    static constexpr std::uint32_t kNoLimit = ~0u;
+
     /**
      * Measure the compressed size of @p line against the current
      * dictionary without committing any state change. When @p stats is
@@ -173,9 +191,16 @@ class LbeEncoder
     std::uint32_t measure(const CacheLine &line,
                           LbeStats *stats = nullptr) const;
 
-    /** measure() over a precomputed plan (multi-log batched trials). */
+    /**
+     * measure() over a precomputed plan (multi-log batched trials).
+     * When the score passes @p limit, encoding may stop early: the
+     * result is then some value above @p limit (and @p stats, if given,
+     * partial). Whenever the line fits in @p limit bits, the result is
+     * the exact size.
+     */
     std::uint32_t measure(const LbeLinePlan &plan,
-                          LbeStats *stats = nullptr) const;
+                          LbeStats *stats = nullptr,
+                          std::uint32_t limit = kNoLimit) const;
 
     /**
      * Compress @p line, commit dictionary updates, and optionally emit
@@ -234,12 +259,15 @@ class LbeEncoder
      * hottest loop, so the emit and stats paths are compile-time
      * template clones: kEmit = false strips all bit-stream output
      * (measure), kStats = false strips symbol accounting (trial
-     * scoring). @p out / @p stats must be non-null exactly when the
-     * matching flag is set.
+     * scoring), kTrial = true marks an encode that is never committed
+     * (measure): it skips the tree-node allocation after the last
+     * chunk and returns once its score passes @p limit. @p out /
+     * @p stats must be non-null exactly when the matching flag is set.
      */
-    template <bool kEmit, bool kStats>
+    template <bool kEmit, bool kStats, bool kTrial>
     std::uint32_t encodeLine(const LbeLinePlan &plan, Overlay &ov,
-                             BitWriter *out, LbeStats *stats) const;
+                             BitWriter *out, LbeStats *stats,
+                             std::uint32_t limit) const;
 
     void commit(const Overlay &ov);
 

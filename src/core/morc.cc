@@ -146,27 +146,37 @@ std::uint64_t
 LogCache::trialBits(const Log &g, const comp::LbeLinePlan &plan,
                     Addr line_num) const
 {
-    const std::uint64_t d_bits =
-        cfg_.compressionEnabled ? g.lbe.measure(plan) : kRawLineBits;
     const std::uint64_t t_bits =
         cfg_.compressionEnabled ? g.tags.measure(line_num) : kRawTagBits;
     const std::uint64_t log_bits = static_cast<std::uint64_t>(cfg_.logBytes) * 8;
-    // An empty log always accepts one line, even when the compressed
-    // size exceeds a (pathologically small) log: progress must be
-    // possible for incompressible data.
-    if (g.lines.empty())
-        return d_bits + t_bits;
-    if (cfg_.mergedTags) {
-        if (g.dataBits + g.tagBits + d_bits + t_bits > log_bits)
-            return kNoFit;
-    } else {
-        if (g.dataBits + d_bits > log_bits)
-            return kNoFit;
-        if (!cfg_.unlimitedMeta &&
+    // Data bits the line may still take. An empty log always accepts
+    // one line, even when the compressed size exceeds a
+    // (pathologically small) log: progress must be possible for
+    // incompressible data. Otherwise the budgets that need no LBE work
+    // are checked first, and an overfull log (one such oversized line)
+    // is rejected before the subtraction could wrap.
+    std::uint64_t room = ~0ull;
+    if (!g.lines.empty()) {
+        if (!cfg_.mergedTags && !cfg_.unlimitedMeta &&
             g.tagBits + t_bits > cfg_.tagBudgetBits()) {
             return kNoFit;
         }
+        // A MORCMerged log also holds its tags, this line's included.
+        const std::uint64_t used =
+            g.dataBits + (cfg_.mergedTags ? g.tagBits + t_bits : 0);
+        if (used > log_bits)
+            return kNoFit;
+        room = log_bits - used;
     }
+    // The trial stops encoding once its score passes the room left:
+    // such a score is only compared against the room, never read.
+    const auto limit = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(room, comp::LbeEncoder::kNoLimit));
+    const std::uint64_t d_bits = cfg_.compressionEnabled
+                                     ? g.lbe.measure(plan, nullptr, limit)
+                                     : kRawLineBits;
+    if (d_bits > room)
+        return kNoFit;
     return d_bits + t_bits;
 }
 
@@ -549,11 +559,6 @@ LogCache::insert(Addr addr, const CacheLine &data, bool dirty)
             std::abort(); // an empty log must accept any line
     }
 
-#ifdef MORC_TRACE_APPENDS
-    std::fprintf(stderr, "APPEND log=%u line=%llu dirty=%d\n",
-                 active_[static_cast<unsigned>(pick)],
-                 (unsigned long long)line_num, dirty ? 1 : 0);
-#endif
     appendLine(active_[static_cast<unsigned>(pick)], line_num, data, plan,
                dirty, slot);
     result.linesCompressed++;

@@ -270,7 +270,9 @@ class LogCache : public cache::Llc
     /** Trial-compress a line (pre-decomposed as @p plan) against log
      *  @p g. Returns total bits or ~0 if it does not fit. The plan is
      *  computed once per insert and shared by all 8 active-log trials
-     *  (batched trial compression). */
+     *  (batched trial compression). Budgets are checked before and
+     *  during LBE encoding, so a log the line cannot fit costs at most
+     *  a partial encode (budget-bounded trials, DESIGN.md §11). */
     std::uint64_t trialBits(const Log &g, const comp::LbeLinePlan &plan,
                             Addr line_num) const;
 

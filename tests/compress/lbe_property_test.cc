@@ -4,7 +4,9 @@
  * (compress -> decompress == input) over seeded adversarial streams,
  * extending lbe_test.cc's fixed-case coverage. Every stream also checks
  * the measure()==append() invariant, and streams are replayed against a
- * starved configuration so pointer-width edge cases get exercised.
+ * starved configuration so pointer-width edge cases get exercised. The
+ * budget-bounded trial measure is checked against the unbounded one
+ * at and around every line's exact size.
  */
 
 #include <gtest/gtest.h>
@@ -149,16 +151,22 @@ TEST(LbeProperty, RoundTripWithMidStreamResets)
         roundTripEpisode(seed, LbeConfig{}, 250, /*with_resets=*/true);
 }
 
-TEST(LbeProperty, RoundTripStarvedDictionaries)
+/** Tiny tables force capacity freezes and the narrowest pointers. */
+LbeConfig
+starvedConfig()
 {
-    // Tiny tables force capacity freezes and the narrowest pointers.
     LbeConfig cfg;
     cfg.dictBytes = 32;
     cfg.nodes64 = 3;
     cfg.nodes128 = 1;
     cfg.nodes256 = 1;
+    return cfg;
+}
+
+TEST(LbeProperty, RoundTripStarvedDictionaries)
+{
     for (std::uint64_t seed = 200; seed <= 212; seed++)
-        roundTripEpisode(seed, cfg, 200, /*with_resets=*/true);
+        roundTripEpisode(seed, starvedConfig(), 200, /*with_resets=*/true);
 }
 
 TEST(LbeProperty, MeasureNeverMutatesUnderFuzz)
@@ -259,6 +267,80 @@ TEST(LbeProperty, TrialStatsMatchCommittedStats)
         }
         ASSERT_EQ(enc.stats(), expected) << "line " << i;
     }
+}
+
+/**
+ * Bounded trials over diverged encoders: with limits 0, exact-1, exact,
+ * exact+1 and random ones, a bounded measure() must equal the unbounded
+ * score whenever the line fits and exceed the limit whenever it does
+ * not. An early exit leaves trial scratch behind, so the append that
+ * follows one must still produce the unbounded score.
+ */
+void
+boundedMeasureEpisode(std::uint64_t seed, const LbeConfig &cfg)
+{
+    constexpr int kLogs = 8;
+    std::vector<LbeEncoder> encs(kLogs, LbeEncoder(cfg));
+    Rng rng(seed);
+    std::vector<CacheLine> history;
+    for (int i = 0; i < 300; i++) {
+        const auto g = static_cast<Gen>(
+            rng.below(static_cast<std::uint64_t>(Gen::NumGens)));
+        const CacheLine l = makeLine(g, rng, history);
+        history.push_back(l);
+        const LbeLinePlan plan = LbeLinePlan::of(l);
+        for (int e = 0; e < kLogs; e++) {
+            // The exact size comes from the commit path, on a copy.
+            LbeEncoder committed = encs[e];
+            const std::uint32_t exact = committed.append(plan);
+            ASSERT_EQ(encs[e].measure(plan), exact)
+                << "seed " << seed << " line " << i << " encoder " << e;
+            const std::uint32_t limits[] = {
+                0,
+                exact - 1,
+                exact,
+                exact + 1,
+                static_cast<std::uint32_t>(rng.below(exact + 64)),
+                static_cast<std::uint32_t>(rng.below(600)),
+            };
+            for (const std::uint32_t limit : limits) {
+                const std::uint32_t bounded =
+                    encs[e].measure(plan, nullptr, limit);
+                if (exact <= limit) {
+                    ASSERT_EQ(bounded, exact)
+                        << "seed " << seed << " line " << i << " encoder "
+                        << e << " limit " << limit;
+                } else {
+                    ASSERT_GT(bounded, limit)
+                        << "seed " << seed << " line " << i << " encoder "
+                        << e << " exact " << exact;
+                    ASSERT_LE(bounded, exact)
+                        << "seed " << seed << " line " << i << " encoder "
+                        << e << " limit " << limit;
+                }
+            }
+        }
+        // Commit right after a trial stopped early at limit 0 (its
+        // scratch must not leak into the append), diverging the
+        // dictionaries.
+        const int pick = static_cast<int>(rng.below(kLogs));
+        const std::uint32_t exact = encs[pick].measure(plan);
+        EXPECT_GT(encs[pick].measure(plan, nullptr, 0), 0u);
+        ASSERT_EQ(encs[pick].append(plan), exact)
+            << "seed " << seed << " line " << i << " encoder " << pick;
+    }
+}
+
+TEST(LbeProperty, BoundedMeasureIsExactWithinLimit)
+{
+    for (std::uint64_t seed = 300; seed <= 305; seed++)
+        boundedMeasureEpisode(seed, LbeConfig{});
+}
+
+TEST(LbeProperty, BoundedMeasureIsExactWithinLimitStarved)
+{
+    for (std::uint64_t seed = 400; seed <= 405; seed++)
+        boundedMeasureEpisode(seed, starvedConfig());
 }
 
 TEST(LbeProperty, ZeroRunsStayWithinZeroSymbolBudget)

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 
 #include "core/morc.hh"
+#include "snapshot/snapshot.hh"
 #include "trace/value_model.hh"
 #include "util/rng.hh"
 
@@ -27,6 +29,20 @@ pooledLine(Rng &rng, std::uint32_t salt)
                                         rng.below(32)) * 4);
     }
     return l;
+}
+
+/** FNV-1a over the cache's saveState() bytes. */
+std::uint64_t
+stateDigest(const LogCache &c)
+{
+    snap::Serializer s;
+    c.saveState(s);
+    std::uint64_t h = 1469598103934665603ull;
+    for (const std::uint8_t b : s.payload()) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
 }
 
 TEST(MorcInvariants, SeparateTagStoreBudgetsHold)
@@ -234,6 +250,27 @@ TEST_P(MorcBudgetSweep, FunctionalUnderAllBudgets)
         }
     }
     EXPECT_LE(c.compressionRatio(), cfg.lmtFactor + 0.01);
+    // End state pinned byte for byte, so the budget arithmetic of
+    // merged logs and of tag-store-bound (1x) logs cannot drift.
+    static const std::map<std::tuple<double, unsigned, bool>,
+                          std::uint64_t>
+        kDigests = {
+            {{1.0, 2, false}, 0x9acab42e0ff5a421ull},
+            {{1.0, 2, true}, 0x72ab74149f9efeull},
+            {{1.0, 8, false}, 0x5c9f830125ce343full},
+            {{1.0, 8, true}, 0xe1991eda85aae0cull},
+            {{2.0, 2, false}, 0xb8869a4bf6d2f49aull},
+            {{2.0, 2, true}, 0x870fe42a351b0d0bull},
+            {{2.0, 8, false}, 0x3c2b5f7794f68012ull},
+            {{2.0, 8, true}, 0x3c916037e9d543d5ull},
+            {{4.0, 2, false}, 0x524f984ccc1e56eaull},
+            {{4.0, 2, true}, 0xe4abafa8ae80a61bull},
+            {{4.0, 8, false}, 0xe9c42363442e2562ull},
+            {{4.0, 8, true}, 0x6f7de63ec90c9025ull},
+        };
+    const auto it = kDigests.find(GetParam());
+    ASSERT_NE(it, kDigests.end());
+    EXPECT_EQ(stateDigest(c), it->second);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <tuple>
 
 #include "core/morc.hh"
+#include "snapshot/snapshot.hh"
 #include "util/rng.hh"
 
 namespace morc {
@@ -36,6 +38,21 @@ pooledLine(Rng &rng, const std::uint32_t *pool, unsigned n)
     for (unsigned i = 0; i < kWordsPerLine; i++)
         l.setWord32(i, pool[rng.below(n)]);
     return l;
+}
+
+/** FNV-1a over the cache's saveState() bytes: every log, dictionary,
+ *  tag stream, LMT entry and counter. */
+std::uint64_t
+stateDigest(const LogCache &c)
+{
+    snap::Serializer s;
+    c.saveState(s);
+    std::uint64_t h = 1469598103934665603ull;
+    for (const std::uint8_t b : s.payload()) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
 }
 
 TEST(Morc, MissThenHitRoundTrip)
@@ -298,6 +315,7 @@ TEST(Morc, CompressionDisabledStoresRaw)
     for (Addr a = 0; a < 10000; a++)
         c.insert(a << kLineShift, zeroLine(), false);
     EXPECT_LE(c.compressionRatio(), 1.01);
+    EXPECT_EQ(stateDigest(c), 0xb6ac234df6c74b7bull);
 }
 
 TEST(Morc, UnlimitedMetaLiftsLmtCap)
@@ -308,6 +326,7 @@ TEST(Morc, UnlimitedMetaLiftsLmtCap)
     for (Addr a = 0; a < 600000; a++)
         c.insert(a << kLineShift, zeroLine(), false);
     EXPECT_GT(c.compressionRatio(), 10.0); // beyond the 8x LMT limit
+    EXPECT_EQ(stateDigest(c), 0x6378aba1e3d0c0ebull);
 }
 
 TEST(Morc, MoreActiveLogsHelpMixedStreams)
@@ -389,6 +408,30 @@ TEST_P(MorcGeometry, FunctionalAndBounded)
         }
     }
     EXPECT_LE(c.compressionRatio(), cfg.lmtFactor + 0.01);
+    // End state pinned byte for byte (64 B logs hold lines larger than
+    // their whole budget), so the trial budget arithmetic cannot drift.
+    static const std::map<std::tuple<unsigned, unsigned>, std::uint64_t>
+        kDigests = {
+            {{64, 1}, 0x93852c02c942c1a7ull},
+            {{64, 4}, 0xb3010c14a5eef094ull},
+            {{64, 8}, 0x3fdb6fdb89babc43ull},
+            {{64, 16}, 0x5f6611392a5b21f4ull},
+            {{256, 1}, 0xc8c41b2280322fb4ull},
+            {{256, 4}, 0x3ca34654b91083c5ull},
+            {{256, 8}, 0xb5425d0cbc8e8d4eull},
+            {{256, 16}, 0xb78de1a94353e94full},
+            {{512, 1}, 0xbdb6d0009de8edfull},
+            {{512, 4}, 0x86c9f4bd601f42f9ull},
+            {{512, 8}, 0x36a7a9c9df4fe032ull},
+            {{512, 16}, 0x9ca63a41e7441f0bull},
+            {{2048, 1}, 0xbc3d7898fa8695e6ull},
+            {{2048, 4}, 0x910c4972e0029c39ull},
+            {{2048, 8}, 0x6c22fdefd677577full},
+            {{2048, 16}, 0xda37a096676db1f7ull},
+        };
+    const auto it = kDigests.find(GetParam());
+    ASSERT_NE(it, kDigests.end());
+    EXPECT_EQ(stateDigest(c), it->second);
 }
 
 INSTANTIATE_TEST_SUITE_P(
