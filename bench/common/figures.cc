@@ -11,7 +11,6 @@
 #include <stdexcept>
 
 #include "cache/overheads.hh"
-#include "common/bench_common.hh"
 #include "compress/bdi.hh"
 #include "compress/cpack.hh"
 #include "compress/fpc.hh"
@@ -21,9 +20,12 @@
 #include "core/morc.hh"
 #include "energy/energy.hh"
 #include "kv/service.hh"
+#include "sim/system.hh"
 #include "snapshot/snapshot.hh"
+#include "stats/summary.hh"
 #include "sweep/journal.hh"
 #include "telemetry/tracer.hh"
+#include "trace/workload.hh"
 #include "util/rng.hh"
 #include "util/sync.hh"
 
@@ -39,6 +41,26 @@ using sweep::Task;
 // ------------------------------------------------------------------
 // Shared task plumbing
 // ------------------------------------------------------------------
+
+/** Per-core measured instructions: env MORC_BENCH_INSTR, else a
+ *  short-but-stable default. */
+std::uint64_t
+instrBudget()
+{
+    if (const char *s = std::getenv("MORC_BENCH_INSTR"))
+        return std::strtoull(s, nullptr, 10);
+    return 800'000;
+}
+
+/** Per-core warm-up instructions: env MORC_BENCH_WARMUP, else twice
+ *  the default measured budget. */
+std::uint64_t
+warmupBudget()
+{
+    if (const char *s = std::getenv("MORC_BENCH_WARMUP"))
+        return std::strtoull(s, nullptr, 10);
+    return 1'600'000;
+}
 
 /** Telemetry requested via --telemetry-epoch / --trace-out. Set once by
  *  sweepMain before any task runs, then only read by (parallel) tasks,
@@ -327,6 +349,14 @@ banner(const Figure &fig)
     std::printf("Paper reports: %s\n", fig.paperClaim);
     std::printf("==================================================="
                 "=====================\n");
+}
+
+/** Append AMean and GMean rows for a per-benchmark series. */
+void
+printMeans(const char *label, const std::vector<double> &v)
+{
+    std::printf("%-12s AMean %6.2f  GMean %6.2f\n", label,
+                stats::amean(v), stats::gmean(v));
 }
 
 // ------------------------------------------------------------------
@@ -1775,7 +1805,7 @@ runFigure(const Figure &fig, unsigned jobs, sweep::Journal *journal)
 }
 
 int
-sweepMain(int argc, char **argv, const char *only)
+sweepMain(int argc, char **argv)
 {
     unsigned jobs = 0; // hardware_concurrency
     std::string outDir;
@@ -1871,22 +1901,13 @@ sweepMain(int argc, char **argv, const char *only)
         } else if (arg.rfind("--", 0) == 0) {
             std::fprintf(stderr, "unknown option %s\n", arg.c_str());
             return 1;
-        } else if (only) {
-            std::fprintf(stderr,
-                         "this binary runs only '%s'; use morc_sweep "
-                         "for other figures\n",
-                         only);
-            return 1;
         } else {
             names.push_back(arg);
         }
     }
 
     std::vector<const Figure *> selected;
-    if (only) {
-        selected.push_back(findFigure(only));
-    } else if (names.empty() ||
-               (names.size() == 1 && names[0] == "all")) {
+    if (names.empty() || (names.size() == 1 && names[0] == "all")) {
         for (const auto &f : figures())
             selected.push_back(&f);
     } else {

@@ -9,8 +9,7 @@
  * the engine can run them on any number of threads; presenters only read
  * the report, so text output and JSON always agree.
  *
- * The same registry backs the per-figure bench binaries (thin wrappers
- * over figureMain) and the morc_sweep CLI (sweepMain over any subset).
+ * The registry backs the morc_sweep CLI (sweepMain over any subset).
  */
 
 #ifndef MORC_BENCH_FIGURES_HH
@@ -57,15 +56,14 @@ stats::Report runFigure(const Figure &fig, unsigned jobs,
                         sweep::Journal *journal = nullptr);
 
 /**
- * Shared CLI driver: `[--jobs N] [--out DIR] [--checkpoint-dir DIR]
- * [--list] [figure...|all]`. When @p only is set (the per-figure bench
- * binaries), positional figure names are rejected and just that figure
- * runs.
+ * The morc_sweep CLI: `[--jobs N] [--out DIR] [--checkpoint-dir DIR]
+ * [--telemetry-epoch CYCLES] [--trace-out FILE] [--list]
+ * [--list-schemes] [figure...|all]`.
  *
  * @return 0 on success; 1 on bad usage, unknown figure, or a failed
  *         sweep task.
  */
-int sweepMain(int argc, char **argv, const char *only = nullptr);
+int sweepMain(int argc, char **argv);
 
 } // namespace bench
 } // namespace morc

@@ -5,10 +5,10 @@
  *   morc_sweep --list
  *   morc_sweep --jobs 8 --out results fig6 fig8
  *   morc_sweep --jobs $(nproc) all
- *   morc_sweep --telemetry-epoch 100000 --trace-out trace.json fig16
+ *   morc_sweep --telemetry-epoch 100000 --trace-out trace.json mesh
  *
  * Budgets scale with MORC_BENCH_INSTR / MORC_BENCH_WARMUP. JSON reports
- * (schema morc.sweep.report/v3) are bit-identical for any --jobs value.
+ * (schema morc.sweep.report/v5) are bit-identical for any --jobs value.
  * --telemetry-epoch N samples every run's probe catalog each N simulated
  * cycles into the per-run "series" report section; --trace-out FILE
  * additionally records cycle-stamped events (log flushes, LMT conflict

@@ -4,19 +4,21 @@
 #   ./run_benches.sh                     # all figures, all cores
 #   ./run_benches.sh --jobs 4 fig6 fig8  # a subset on 4 threads
 #   ./run_benches.sh --out results       # also write JSON reports
-#   ./run_benches.sh --smoke             # CI gate: tiny budget, fig6
+#   ./run_benches.sh --smoke             # CI gate: gates + 4 figures
 #
 # Budgets scale with MORC_BENCH_INSTR / MORC_BENCH_WARMUP. Any bench
 # failure (crash or failed sweep task) propagates as a non-zero exit.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-# --smoke: a fast end-to-end exercise of the sweep engine for CI. It
-# runs one representative single-program figure plus the mesh scaling
-# sweep (the tiled-substrate path) on a tiny instruction budget —
-# enough to catch crashes, sweep-task failures, and schema regressions
-# without paying for paper-fidelity statistics. Must come before the
-# defaults below so the smoke budget wins unless the caller overrode it.
+# --smoke: a fast end-to-end exercise of the sweep engine for CI. On a
+# tiny instruction budget it runs the gates below (scheme registry,
+# traced-mesh determinism, checkpoint resume, KV and lifetime
+# determinism and schema, the three perf gates), then sweeps fig6,
+# mesh, kvserve and lifetime — enough to catch crashes, sweep-task
+# failures, nondeterminism, and schema regressions without paying for
+# paper-fidelity statistics. Must come before the defaults below so the
+# smoke budget wins unless the caller overrode it.
 SMOKE_ARGS=()
 SMOKE=0
 for arg in "$@"; do
@@ -36,6 +38,11 @@ if [ ! -x "$SWEEP" ]; then
     echo "error: $SWEEP not built (cmake -B build && cmake --build build)" >&2
     exit 1
 fi
+BENCH_SPEED=build/bench/bench_speed
+if [ "$SMOKE" = 1 ] && [ ! -x "$BENCH_SPEED" ]; then
+    echo "error: $BENCH_SPEED not built (cmake -B build && cmake --build build)" >&2
+    exit 1
+fi
 
 JOBS=$(nproc 2>/dev/null || echo 1)
 ARGS=()
@@ -51,8 +58,6 @@ if [ ${#ARGS[@]} -eq 0 ] && [ ${#SMOKE_ARGS[@]} -gt 0 ]; then
     ARGS=("${SMOKE_ARGS[@]}")
 fi
 
-# Smoke also exercises the telemetry path end to end: a traced mesh
-# sweep must produce a parseable Chrome trace JSON with events in it.
 if [ "$SMOKE" = 1 ]; then
     # The scheme list is owned by one registry (sim/scheme.{hh,cc});
     # every enumerating surface (morc_check, the lifetime figure, the
@@ -66,17 +71,30 @@ if [ "$SMOKE" = 1 ]; then
         }
     done
     echo "smoke registry OK: $("$SWEEP" --list-schemes | wc -l) schemes"
-    TRACE=$(mktemp /tmp/morc_smoke_trace.XXXXXX.json)
-    "$SWEEP" --jobs "$JOBS" --telemetry-epoch 100000 \
-        --trace-out "$TRACE" mesh > /dev/null
-    python3 - "$TRACE" <<'EOF'
+
+    # ...and the telemetry path end to end: a traced mesh sweep must
+    # write byte-identical reports and Chrome traces at jobs=1 and
+    # jobs=8 (timestamps are simulated cycles), the trace must carry
+    # log_flush instant events, and the report its series sections.
+    TRDIR=$(mktemp -d /tmp/morc_smoke_trace.XXXXXX)
+    for j in 1 8; do
+        "$SWEEP" --jobs $j --telemetry-epoch 100000 --out "$TRDIR/j$j" \
+            --trace-out "$TRDIR/j$j/trace.json" mesh > /dev/null
+    done
+    cmp "$TRDIR/j1/mesh.json" "$TRDIR/j8/mesh.json"
+    cmp "$TRDIR/j1/trace.json" "$TRDIR/j8/trace.json"
+    python3 - "$TRDIR/j1" <<'EOF'
 import json, sys
-t = json.load(open(sys.argv[1]))
-events = t["traceEvents"]
-assert any(e.get("ph") == "i" for e in events), "no instant events"
-print(f"smoke trace OK: {len(events)} events")
+events = json.load(open(sys.argv[1] + "/trace.json"))["traceEvents"]
+kinds = {e["name"] for e in events if e.get("ph") == "i"}
+assert "log_flush" in kinds, kinds
+r = json.load(open(sys.argv[1] + "/mesh.json"))
+assert r["schema"] == "morc.sweep.report/v5", r["schema"]
+assert any("series" in run for run in r["runs"]), "no series section"
+print(f"smoke trace OK: {len(events)} events, kinds {sorted(kinds)}, "
+      "jobs-independent bytes")
 EOF
-    rm -f "$TRACE"
+    rm -rf "$TRDIR"
 
     # ...and the checkpoint path: the same figure swept twice against
     # one --checkpoint-dir must serve the second run from the journal
@@ -136,56 +154,23 @@ print(f"smoke lifetime OK: {len(schemes)} schemes ranked, "
 EOF
     rm -rf "$LTDIR"
 
-    # ...and the Touché perf gate: signature lookup + fill must stay
-    # within threshold of the checked-in baseline (BM_FpcLine-
-    # normalized, like the other gates).
-    BENCH_TOUCHE=build/bench/bench_touche_speed
-    if [ -x "$BENCH_TOUCHE" ]; then
-        TOUCHE_JSON=$(mktemp /tmp/morc_bench_touche.XXXXXX.json)
-        "$BENCH_TOUCHE" --benchmark_out="$TOUCHE_JSON" \
-            --benchmark_out_format=json > /dev/null
-        python3 tools/perf_gate.py "$TOUCHE_JSON" \
-            bench/baselines/BENCH_touche.json --gate BM_Touche \
-            --threshold 0.30 \
-            --reference 'BM_FpcLine/min_time:2.000'
-        rm -f "$TOUCHE_JSON"
-    else
-        echo "touche perf gate skipped: $BENCH_TOUCHE not built" >&2
-    fi
-
-    # ...and the KV perf gate against its checked-in baseline.
-    BENCH_KV=build/bench/bench_kv_speed
-    if [ -x "$BENCH_KV" ]; then
-        KV_JSON=$(mktemp /tmp/morc_bench_kv.XXXXXX.json)
-        "$BENCH_KV" --benchmark_out="$KV_JSON" \
-            --benchmark_out_format=json > /dev/null
-        # Looser threshold than the codec gate: these are end-to-end
-        # service macrobenchmarks (µs per op through generator, cache,
-        # and tier maps), so host jitter is proportionally larger.
-        python3 tools/perf_gate.py "$KV_JSON" \
-            bench/baselines/BENCH_kv.json --gate BM_Kv --threshold 0.30 \
-            --reference 'BM_FpcLine/min_time:2.000'
-        rm -f "$KV_JSON"
-    else
-        echo "kv perf gate skipped: $BENCH_KV not built" >&2
-    fi
-
-    # ...and the compressor perf gate: the LBE hot path (the
-    # simulator's hottest loop) must stay within threshold of the
-    # checked-in baseline. Normalization by the untouched FPC codec
-    # inside perf_gate.py cancels host-speed differences.
-    BENCH_SPEED=build/bench/bench_compressor_speed
-    if [ -x "$BENCH_SPEED" ]; then
-        PERF_JSON=$(mktemp /tmp/morc_bench_compress.XXXXXX.json)
-        "$BENCH_SPEED" --benchmark_filter='BM_Lbe|BM_FpcLine' \
-            --benchmark_out="$PERF_JSON" \
-            --benchmark_out_format=json > /dev/null
-        python3 tools/perf_gate.py "$PERF_JSON" \
-            bench/baselines/BENCH_compress.json
-        rm -f "$PERF_JSON"
-    else
-        echo "perf gate skipped: $BENCH_SPEED not built" >&2
-    fi
+    # ...and the perf gates: one bench_speed run, then the LBE hot path
+    # (the simulator's hottest loop), the KV service and the Touché
+    # cache, each against its checked-in baseline. perf_gate.py
+    # normalizes by the untouched FPC codec to cancel host speed. The
+    # KV and Touché thresholds are looser: those are end-to-end
+    # macrobenchmarks (µs per op through generator, cache, and tier
+    # maps), so host jitter is proportionally larger.
+    PERF_JSON=$(mktemp /tmp/morc_bench_speed.XXXXXX.json)
+    "$BENCH_SPEED" --benchmark_filter='BM_Lbe|BM_Kv|BM_Touche|BM_FpcLine' \
+        --benchmark_out="$PERF_JSON" --benchmark_out_format=json > /dev/null
+    python3 tools/perf_gate.py "$PERF_JSON" \
+        bench/baselines/BENCH_compress.json
+    python3 tools/perf_gate.py "$PERF_JSON" \
+        bench/baselines/BENCH_kv.json --gate BM_Kv --threshold 0.30
+    python3 tools/perf_gate.py "$PERF_JSON" \
+        bench/baselines/BENCH_touche.json --gate BM_Touche --threshold 0.30
+    rm -f "$PERF_JSON"
 fi
 
 exec "$SWEEP" --jobs "$JOBS" "${ARGS[@]+"${ARGS[@]}"}"

@@ -5,19 +5,24 @@ Usage:
     perf_gate.py CURRENT.json BASELINE.json [--threshold 0.15]
                  [--gate PREFIX] [--reference NAME]
 
-Compares a freshly measured benchmark report against a checked-in
-baseline (bench/baselines/BENCH_compress.json). Absolute times differ
-across hosts, so every gated benchmark's cpu_time is first normalized
-by the same report's reference benchmark (default BM_FpcLine — the FPC
-codec is untouched by the LBE hot-path work, so the ratio tracks
-algorithmic regressions, not machine speed). The gate fails (exit 1)
-when any gated benchmark's normalized time exceeds the baseline's by
-more than the threshold (default 15%).
+Compares a freshly measured bench_speed report against one checked-in
+baseline in bench/baselines/. Absolute times differ across hosts, so
+every gated benchmark's cpu_time is first normalized by the same
+report's reference benchmark (default BM_FpcLine/min_time:2.000 — the
+FPC codec is untouched by the hot paths the gates watch, so the ratio
+tracks algorithmic regressions, not machine speed). The gate fails
+(exit 1) when any gated benchmark is missing from the current report
+or its normalized time exceeds the baseline's by more than the
+threshold (default 15%), and exits 2 when the reference is missing or
+no baseline benchmark matches the gate prefix.
 
-Regenerate the baseline after intentional performance changes:
-    build/bench/bench_compressor_speed \
-        --benchmark_out=bench/baselines/BENCH_compress.json \
+Regenerate a baseline after an intentional performance change, e.g.
+the KV one:
+    build/bench/bench_speed --benchmark_filter='^(BM_Kv|BM_FpcLine)' \
+        --benchmark_out=bench/baselines/BENCH_kv.json \
         --benchmark_out_format=json
+BENCH_touche.json takes '^(BM_Touche|BM_FpcLine)', and
+BENCH_compress.json every codec benchmark: '-^(BM_Kv|BM_Touche)'.
 """
 
 import argparse
@@ -51,7 +56,7 @@ def main():
     ap.add_argument("--gate", default="BM_Lbe",
                     help="gate benchmarks whose name starts with this "
                          "prefix")
-    ap.add_argument("--reference", default="BM_FpcLine",
+    ap.add_argument("--reference", default="BM_FpcLine/min_time:2.000",
                     help="normalization benchmark (must be in both "
                          "reports)")
     args = ap.parse_args()
