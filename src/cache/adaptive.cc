@@ -306,80 +306,60 @@ AdaptiveCache::audit() const
     return r;
 }
 
+template <typename Self, typename IO>
+void
+AdaptiveCache::walk(Self &self, IO &io)
+{
+    io.section("ADPT", [&] {
+        const char *geometry = "adaptive cache geometry mismatch";
+        io.expect(self.cfg_.capacityBytes, geometry);
+        io.expect(self.cfg_.ways, geometry);
+        io.expect(self.cfg_.tagFactor, geometry);
+        io.expect(self.cfg_.segmentBytes, geometry);
+        io.u64(self.useClock_);
+        io.u64(self.valid_);
+        io.i64(self.predictor_);
+        io.part(self.stats_);
+        io.part(self.wear_);
+        // The per-set rules audit() states, which evictUntilFits relies
+        // on to always find room.
+        const unsigned max_tags = self.cfg_.ways * self.cfg_.tagFactor;
+        const unsigned max_segments = kLineSize / self.cfg_.segmentBytes;
+        io.fixedVec(self.sets_, 8, geometry, [&](auto &set) {
+            std::uint64_t used = 0;
+            io.vec(set.lines, 8 + 3 + 4 + 8 + kLineSize, [&](auto &l) {
+                io.u64(l.tag);
+                io.boolean(l.hasData);
+                io.boolean(l.dirty);
+                io.boolean(l.compressed);
+                io.u32(l.segments);
+                io.u64(l.lastUse);
+                io.bytes(l.data.bytes.data(), kLineSize);
+                io.check(l.hasData ? l.segments >= 1 &&
+                                         l.segments <= max_segments
+                                   : l.segments == 0 && !l.dirty &&
+                                         !l.compressed,
+                         "adaptive line: a data line spans 1 to 8 "
+                         "segments, a shadow tag none and no flags");
+                used += l.segments;
+            });
+            io.check(set.lines.size() <= max_tags &&
+                         used <= self.segBudget(),
+                     "adaptive set over its tag or segment budget");
+        });
+    });
+}
+
 void
 AdaptiveCache::saveState(snap::Serializer &s) const
 {
-    s.beginSection("ADPT");
-    s.u64(cfg_.capacityBytes);
-    s.u32(cfg_.ways);
-    s.u32(cfg_.tagFactor);
-    s.u32(cfg_.segmentBytes);
-    s.u64(useClock_);
-    s.u64(valid_);
-    s.i64(predictor_);
-    stats_.save(s);
-    wear_.save(s);
-    s.vec(sets_, [&](const Set &set) {
-        s.vec(set.lines, [&](const LineEntry &l) {
-            s.u64(l.tag);
-            s.boolean(l.hasData);
-            s.boolean(l.dirty);
-            s.boolean(l.compressed);
-            s.u32(l.segments);
-            s.u64(l.lastUse);
-            s.bytes(l.data.bytes.data(), kLineSize);
-        });
-    });
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 AdaptiveCache::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("ADPT"))
-        return;
-    const std::uint64_t capacity = d.u64();
-    const std::uint32_t ways = d.u32();
-    const std::uint32_t tagFactor = d.u32();
-    const std::uint32_t segBytes = d.u32();
-    const std::uint64_t useClock = d.u64();
-    const std::uint64_t valid = d.u64();
-    const std::int64_t predictor = d.i64();
-    LlcStats stats;
-    stats.restore(d);
-    energy::WearTracker wear = wear_;
-    wear.restore(d);
-    std::vector<Set> sets;
-    d.readVec(sets, 8, [&] {
-        Set set;
-        d.readVec(set.lines, 8 + 3 + 4 + 8 + kLineSize, [&] {
-            LineEntry l;
-            l.tag = d.u64();
-            l.hasData = d.boolean();
-            l.dirty = d.boolean();
-            l.compressed = d.boolean();
-            l.segments = d.u32();
-            l.lastUse = d.u64();
-            d.bytes(l.data.bytes.data(), kLineSize);
-            return l;
-        });
-        return set;
-    });
-    if (d.ok() && (capacity != cfg_.capacityBytes || ways != cfg_.ways ||
-                   tagFactor != cfg_.tagFactor ||
-                   segBytes != cfg_.segmentBytes ||
-                   sets.size() != sets_.size())) {
-        d.fail("adaptive cache geometry mismatch");
-    }
-    d.endSection();
-    if (!d.ok())
-        return;
-    useClock_ = useClock;
-    valid_ = valid;
-    predictor_ = predictor;
-    stats_ = stats;
-    wear_ = std::move(wear);
-    sets_ = std::move(sets);
+    walk(*this, d);
 }
 
 } // namespace cache

@@ -85,6 +85,9 @@ class AdaptiveCache : public Llc
         std::vector<LineEntry> lines; // LRU order maintained by lastUse
     };
 
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     std::uint64_t setOf(Addr addr) const;
     /** Emit the image the data array stores for @p data (C-Pack stream
      *  when compressed, the raw line otherwise), for wear accounting. */

@@ -313,87 +313,53 @@ DecoupledCache::audit() const
     return r;
 }
 
+template <typename Self, typename IO>
 void
-DecoupledCache::saveState(snap::Serializer &s) const
+DecoupledCache::walk(Self &self, IO &io)
 {
-    s.beginSection("DECP");
-    s.u64(cfg_.capacityBytes);
-    s.u32(cfg_.ways);
-    s.u32(cfg_.linesPerSuperBlock);
-    s.u32(cfg_.segmentBytes);
-    s.u64(useClock_);
-    s.u64(valid_);
-    stats_.save(s);
-    wear_.save(s);
-    s.vec(sets_, [&](const Set &set) {
-        s.vec(set.blocks, [&](const SuperBlock &b) {
-            s.u64(b.tag);
-            s.boolean(b.valid);
-            s.u64(b.lastUse);
-            s.vec(b.lines, [&](const SubLine &l) {
-                s.boolean(l.valid);
-                s.boolean(l.dirty);
-                s.boolean(l.compressed);
-                s.u32(l.segments);
-                s.bytes(l.data.bytes.data(), kLineSize);
+    io.section("DECP", [&] {
+        const char *geometry = "decoupled cache geometry mismatch";
+        io.expect(self.cfg_.capacityBytes, geometry);
+        io.expect(self.cfg_.ways, geometry);
+        io.expect(self.cfg_.linesPerSuperBlock, geometry);
+        io.expect(self.cfg_.segmentBytes, geometry);
+        io.u64(self.useClock_);
+        io.u64(self.valid_);
+        io.part(self.stats_);
+        io.part(self.wear_);
+        // Exactly `ways` super-blocks per set: insert's LRU victim scan
+        // starts at blocks[0], and the way index charges wear.
+        io.fixedVec(self.sets_, 8, geometry, [&](auto &set) {
+            io.fixedVec(set.blocks, 8 + 1 + 8 + 8,
+                        "decoupled set super-block count mismatch",
+                        [&](auto &b) {
+                io.u64(b.tag);
+                io.boolean(b.valid);
+                io.u64(b.lastUse);
+                io.fixedVec(b.lines, 1 + 1 + 1 + 4 + kLineSize,
+                            "decoupled super-block line-count mismatch",
+                            [&](auto &l) {
+                    io.boolean(l.valid);
+                    io.boolean(l.dirty);
+                    io.boolean(l.compressed);
+                    io.u32(l.segments);
+                    io.bytes(l.data.bytes.data(), kLineSize);
+                });
             });
         });
     });
-    s.endSection();
+}
+
+void
+DecoupledCache::saveState(snap::Serializer &s) const
+{
+    walk(*this, s);
 }
 
 void
 DecoupledCache::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("DECP"))
-        return;
-    const std::uint64_t capacity = d.u64();
-    const std::uint32_t ways = d.u32();
-    const std::uint32_t linesPerSb = d.u32();
-    const std::uint32_t segBytes = d.u32();
-    const std::uint64_t useClock = d.u64();
-    const std::uint64_t valid = d.u64();
-    LlcStats stats;
-    stats.restore(d);
-    energy::WearTracker wear = wear_;
-    wear.restore(d);
-    std::vector<Set> sets;
-    d.readVec(sets, 8, [&] {
-        Set set;
-        d.readVec(set.blocks, 8 + 1 + 8 + 8, [&] {
-            SuperBlock b;
-            b.tag = d.u64();
-            b.valid = d.boolean();
-            b.lastUse = d.u64();
-            d.readVec(b.lines, 1 + 1 + 1 + 4 + kLineSize, [&] {
-                SubLine l;
-                l.valid = d.boolean();
-                l.dirty = d.boolean();
-                l.compressed = d.boolean();
-                l.segments = d.u32();
-                d.bytes(l.data.bytes.data(), kLineSize);
-                return l;
-            });
-            if (d.ok() && b.lines.size() != cfg_.linesPerSuperBlock)
-                d.fail("decoupled super-block line-count mismatch");
-            return b;
-        });
-        return set;
-    });
-    if (d.ok() && (capacity != cfg_.capacityBytes || ways != cfg_.ways ||
-                   linesPerSb != cfg_.linesPerSuperBlock ||
-                   segBytes != cfg_.segmentBytes ||
-                   sets.size() != sets_.size())) {
-        d.fail("decoupled cache geometry mismatch");
-    }
-    d.endSection();
-    if (!d.ok())
-        return;
-    useClock_ = useClock;
-    valid_ = valid;
-    stats_ = stats;
-    wear_ = std::move(wear);
-    sets_ = std::move(sets);
+    walk(*this, d);
 }
 
 } // namespace cache

@@ -73,6 +73,9 @@ class DecoupledCache : public Llc
         std::vector<SuperBlock> blocks;
     };
 
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     std::uint64_t setOf(Addr super_tag) const;
     unsigned usedSegments(const Set &set) const;
     void evictBlock(Set &set, SuperBlock &block, FillResult &result);

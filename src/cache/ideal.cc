@@ -169,75 +169,47 @@ IdealCache::audit() const
     return r;
 }
 
+template <typename Self, typename IO>
+void
+IdealCache::walk(Self &self, IO &io)
+{
+    io.section("IDEA", [&] {
+        const char *geometry = "ideal cache geometry mismatch";
+        io.expect(static_cast<std::uint8_t>(
+                      self.scope_ == OracleScope::InterLine ? 1 : 0),
+                  geometry);
+        io.expect(self.capacity_, geometry);
+        io.expect(self.setBits_, geometry);
+        io.u64(self.useClock_);
+        io.u64(self.valid_);
+        io.part(self.stats_);
+        io.part(self.wear_);
+        io.fixedVec(self.sets_, 8 + 8, geometry, [&](auto &set) {
+            io.u64(set.usedBits);
+            io.vec(set.lines, 8 + 1 + 4 + 8 + kLineSize, [&](auto &l) {
+                io.u64(l.tag);
+                io.boolean(l.dirty);
+                io.u32(l.bits);
+                io.u64(l.lastUse);
+                io.bytes(l.data.bytes.data(), kLineSize);
+            });
+        });
+    });
+}
+
 void
 IdealCache::saveState(snap::Serializer &s) const
 {
-    s.beginSection("IDEA");
-    s.u8(scope_ == OracleScope::InterLine ? 1 : 0);
-    s.u64(capacity_);
-    s.u64(setBits_);
-    s.u64(useClock_);
-    s.u64(valid_);
-    stats_.save(s);
-    wear_.save(s);
-    // dict_ is derived state (word refcounts of resident lines); the
-    // restore path rebuilds it from the sets below.
-    s.vec(sets_, [&](const Set &set) {
-        s.u64(set.usedBits);
-        s.vec(set.lines, [&](const LineEntry &l) {
-            s.u64(l.tag);
-            s.boolean(l.dirty);
-            s.u32(l.bits);
-            s.u64(l.lastUse);
-            s.bytes(l.data.bytes.data(), kLineSize);
-        });
-    });
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 IdealCache::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("IDEA"))
-        return;
-    const std::uint8_t inter = d.u8();
-    const std::uint64_t capacity = d.u64();
-    const std::uint64_t setBits = d.u64();
-    const std::uint64_t useClock = d.u64();
-    const std::uint64_t valid = d.u64();
-    LlcStats stats;
-    stats.restore(d);
-    energy::WearTracker wear = wear_;
-    wear.restore(d);
-    std::vector<Set> sets;
-    d.readVec(sets, 8 + 8, [&] {
-        Set set;
-        set.usedBits = d.u64();
-        d.readVec(set.lines, 8 + 1 + 4 + 8 + kLineSize, [&] {
-            LineEntry l;
-            l.tag = d.u64();
-            l.dirty = d.boolean();
-            l.bits = d.u32();
-            l.lastUse = d.u64();
-            d.bytes(l.data.bytes.data(), kLineSize);
-            return l;
-        });
-        return set;
-    });
-    if (d.ok() &&
-        (inter != (scope_ == OracleScope::InterLine ? 1 : 0) ||
-         capacity != capacity_ || setBits != setBits_ ||
-         sets.size() != sets_.size())) {
-        d.fail("ideal cache geometry mismatch");
-    }
-    d.endSection();
+    walk(*this, d);
     if (!d.ok())
         return;
-    useClock_ = useClock;
-    valid_ = valid;
-    stats_ = stats;
-    wear_ = std::move(wear);
-    sets_ = std::move(sets);
+    // dict_ is derived state (word refcounts of resident lines).
     dict_.clear();
     if (scope_ == OracleScope::InterLine) {
         for (const Set &set : sets_) {

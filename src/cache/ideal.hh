@@ -66,6 +66,9 @@ class IdealCache : public Llc
         std::uint64_t usedBits = 0;
     };
 
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     std::uint64_t setOf(Addr addr) const;
     std::uint32_t costOf(const CacheLine &data) const;
 

@@ -66,29 +66,38 @@ struct FillResult
     std::uint64_t bytesDecompressed = 0;
 };
 
+/**
+ * Every LlcStats counter, in snapshot order, with its telemetry probe
+ * name (nullptr: no probe). Adding a counter is one line here: the
+ * members, the snapshot walk, +=, - and the base Llc::registerProbes
+ * are all generated from this table.
+ *
+ * logFlushes counts whole-log evictions and lmtConflictEvicts LMT
+ * conflict evictions (both MORC/MORCMerged only, zero elsewhere). The
+ * cell counters are NVM wear charged from the actual emitted
+ * bitstreams (see energy/lifetime.hh): bits physically programmed into
+ * the data array, and cells flipped relative to the frame's prior
+ * image.
+ */
+#define MORC_LLC_STATS(X)                                              \
+    X(reads, "reads")                                                  \
+    X(readHits, "read_hits")                                           \
+    X(inserts, "inserts")                                              \
+    X(victimWritebacks, "victim_writebacks")                           \
+    X(linesCompressed, nullptr)                                        \
+    X(linesDecompressed, nullptr)                                      \
+    X(bytesDecompressed, "bytes_decompressed")                         \
+    X(logFlushes, nullptr)                                             \
+    X(lmtConflictEvicts, nullptr)                                      \
+    X(cellBitsWritten, "cell_bits_written")                            \
+    X(cellBitFlips, "cell_bit_flips")
+
 /** Aggregate counters every model maintains. */
 struct LlcStats
 {
-    std::uint64_t reads = 0;
-    std::uint64_t readHits = 0;
-    std::uint64_t inserts = 0;
-    std::uint64_t victimWritebacks = 0;
-    std::uint64_t linesCompressed = 0;
-    std::uint64_t linesDecompressed = 0;
-    std::uint64_t bytesDecompressed = 0;
-
-    /** Whole-log evictions (MORC/MORCMerged only; zero elsewhere). */
-    std::uint64_t logFlushes = 0;
-
-    /** LMT conflict evictions (MORC/MORCMerged only; zero elsewhere). */
-    std::uint64_t lmtConflictEvicts = 0;
-
-    /** NVM wear: bits physically programmed into the data array, from
-     *  the actual emitted bitstreams (see energy/lifetime.hh). */
-    std::uint64_t cellBitsWritten = 0;
-
-    /** NVM wear: cells flipped relative to the frame's prior image. */
-    std::uint64_t cellBitFlips = 0;
+#define MORC_LLC_MEMBER(field, probe) std::uint64_t field = 0;
+    MORC_LLC_STATS(MORC_LLC_MEMBER)
+#undef MORC_LLC_MEMBER
 
     void
     clear()
@@ -96,55 +105,24 @@ struct LlcStats
         *this = LlcStats{};
     }
 
-    void
-    save(snap::Serializer &s) const
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
     {
-        s.u64(reads);
-        s.u64(readHits);
-        s.u64(inserts);
-        s.u64(victimWritebacks);
-        s.u64(linesCompressed);
-        s.u64(linesDecompressed);
-        s.u64(bytesDecompressed);
-        s.u64(logFlushes);
-        s.u64(lmtConflictEvicts);
-        s.u64(cellBitsWritten);
-        s.u64(cellBitFlips);
+#define MORC_LLC_WALK(field, probe) io.u64(self.field);
+        MORC_LLC_STATS(MORC_LLC_WALK)
+#undef MORC_LLC_WALK
     }
 
-    void
-    restore(snap::Deserializer &d)
-    {
-        LlcStats v;
-        v.reads = d.u64();
-        v.readHits = d.u64();
-        v.inserts = d.u64();
-        v.victimWritebacks = d.u64();
-        v.linesCompressed = d.u64();
-        v.linesDecompressed = d.u64();
-        v.bytesDecompressed = d.u64();
-        v.logFlushes = d.u64();
-        v.lmtConflictEvicts = d.u64();
-        v.cellBitsWritten = d.u64();
-        v.cellBitFlips = d.u64();
-        if (d.ok())
-            *this = v;
-    }
+    void save(snap::Serializer &s) const { walk(*this, s); }
+    void restore(snap::Deserializer &d) { walk(*this, d); }
 
     LlcStats &
     operator+=(const LlcStats &o)
     {
-        reads += o.reads;
-        readHits += o.readHits;
-        inserts += o.inserts;
-        victimWritebacks += o.victimWritebacks;
-        linesCompressed += o.linesCompressed;
-        linesDecompressed += o.linesDecompressed;
-        bytesDecompressed += o.bytesDecompressed;
-        logFlushes += o.logFlushes;
-        lmtConflictEvicts += o.lmtConflictEvicts;
-        cellBitsWritten += o.cellBitsWritten;
-        cellBitFlips += o.cellBitFlips;
+#define MORC_LLC_ADD(field, probe) field += o.field;
+        MORC_LLC_STATS(MORC_LLC_ADD)
+#undef MORC_LLC_ADD
         return *this;
     }
 };
@@ -154,17 +132,9 @@ inline LlcStats
 operator-(const LlcStats &a, const LlcStats &b)
 {
     LlcStats d;
-    d.reads = a.reads - b.reads;
-    d.readHits = a.readHits - b.readHits;
-    d.inserts = a.inserts - b.inserts;
-    d.victimWritebacks = a.victimWritebacks - b.victimWritebacks;
-    d.linesCompressed = a.linesCompressed - b.linesCompressed;
-    d.linesDecompressed = a.linesDecompressed - b.linesDecompressed;
-    d.bytesDecompressed = a.bytesDecompressed - b.bytesDecompressed;
-    d.logFlushes = a.logFlushes - b.logFlushes;
-    d.lmtConflictEvicts = a.lmtConflictEvicts - b.lmtConflictEvicts;
-    d.cellBitsWritten = a.cellBitsWritten - b.cellBitsWritten;
-    d.cellBitFlips = a.cellBitFlips - b.cellBitFlips;
+#define MORC_LLC_SUB(field, probe) d.field = a.field - b.field;
+    MORC_LLC_STATS(MORC_LLC_SUB)
+#undef MORC_LLC_SUB
     return d;
 }
 
@@ -224,24 +194,12 @@ class Llc : public check::Auditable, public snap::Snapshottable
     {
         reg.gauge(prefix + ".valid_lines",
                   [this](Cycles) { return double(validLines()); });
-        reg.counter(prefix + ".reads",
-                    [this](Cycles) { return double(stats_.reads); });
-        reg.counter(prefix + ".read_hits",
-                    [this](Cycles) { return double(stats_.readHits); });
-        reg.counter(prefix + ".inserts",
-                    [this](Cycles) { return double(stats_.inserts); });
-        reg.counter(prefix + ".victim_writebacks", [this](Cycles) {
-            return double(stats_.victimWritebacks);
-        });
-        reg.counter(prefix + ".bytes_decompressed", [this](Cycles) {
-            return double(stats_.bytesDecompressed);
-        });
-        reg.counter(prefix + ".cell_bits_written", [this](Cycles) {
-            return double(stats_.cellBitsWritten);
-        });
-        reg.counter(prefix + ".cell_bit_flips", [this](Cycles) {
-            return double(stats_.cellBitFlips);
-        });
+#define MORC_LLC_PROBE(field, probe)                                   \
+    if (const char *name = (probe))                                    \
+        reg.counter(prefix + "." + name,                               \
+                    [this](Cycles) { return double(stats_.field); });
+        MORC_LLC_STATS(MORC_LLC_PROBE)
+#undef MORC_LLC_PROBE
     }
 
     /**

@@ -252,101 +252,57 @@ Sc2Cache::audit() const
     return r;
 }
 
+template <typename Self, typename IO>
+void
+Sc2Cache::walk(Self &self, IO &io)
+{
+    io.section("SC2 ", [&] {
+        const char *geometry = "SC2 cache geometry mismatch";
+        io.expect(self.cfg_.capacityBytes, geometry);
+        io.expect(self.cfg_.ways, geometry);
+        io.expect(self.cfg_.tagFactor, geometry);
+        io.expect(self.cfg_.segmentBytes, geometry);
+        io.expect(self.cfg_.dictionarySymbols, geometry);
+        io.u64(self.useClock_);
+        io.u64(self.valid_);
+        io.boolean(self.trained_);
+        io.u64(self.fillsSinceTrain_);
+        io.u64(self.retrainings_);
+        io.part(self.stats_);
+        io.part(self.wear_);
+        io.part(self.sampler_);
+        // The table itself is derived state: build() is deterministic,
+        // so storing the train-time counts is enough to reproduce it.
+        comp::ValueSampler::walkFreqMap(self.trainFreqs_, io);
+        io.fixedVec(self.sets_, 8, geometry, [&](auto &set) {
+            io.vec(set.lines, 8 + 2 + 4 + 8 + kLineSize, [&](auto &l) {
+                io.u64(l.tag);
+                io.boolean(l.dirty);
+                io.boolean(l.compressed);
+                io.u32(l.segments);
+                io.u64(l.lastUse);
+                io.bytes(l.data.bytes.data(), kLineSize);
+            });
+        });
+    });
+}
+
 void
 Sc2Cache::saveState(snap::Serializer &s) const
 {
-    s.beginSection("SC2 ");
-    s.u64(cfg_.capacityBytes);
-    s.u32(cfg_.ways);
-    s.u32(cfg_.tagFactor);
-    s.u32(cfg_.segmentBytes);
-    s.u32(cfg_.dictionarySymbols);
-    s.u64(useClock_);
-    s.u64(valid_);
-    s.boolean(trained_);
-    s.u64(fillsSinceTrain_);
-    s.u64(retrainings_);
-    stats_.save(s);
-    wear_.save(s);
-    sampler_.save(s);
-    // The table itself is derived state: build() is deterministic, so
-    // storing the train-time counts is enough to reproduce it.
-    comp::ValueSampler::saveFreqMap(s, trainFreqs_);
-    s.vec(sets_, [&](const Set &set) {
-        s.vec(set.lines, [&](const LineEntry &l) {
-            s.u64(l.tag);
-            s.boolean(l.dirty);
-            s.boolean(l.compressed);
-            s.u32(l.segments);
-            s.u64(l.lastUse);
-            s.bytes(l.data.bytes.data(), kLineSize);
-        });
-    });
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 Sc2Cache::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("SC2 "))
-        return;
-    const std::uint64_t capacity = d.u64();
-    const std::uint32_t ways = d.u32();
-    const std::uint32_t tagFactor = d.u32();
-    const std::uint32_t segBytes = d.u32();
-    const std::uint32_t dictSymbols = d.u32();
-    const std::uint64_t useClock = d.u64();
-    const std::uint64_t valid = d.u64();
-    const bool trained = d.boolean();
-    const std::uint64_t fillsSinceTrain = d.u64();
-    const std::uint64_t retrainings = d.u64();
-    LlcStats stats;
-    stats.restore(d);
-    energy::WearTracker wear = wear_;
-    wear.restore(d);
-    comp::ValueSampler sampler(cfg_.dictionarySymbols);
-    sampler.restore(d);
-    std::unordered_map<std::uint32_t, std::uint64_t> trainFreqs;
-    comp::ValueSampler::restoreFreqMap(d, trainFreqs);
-    std::vector<Set> sets;
-    d.readVec(sets, 8, [&] {
-        Set set;
-        d.readVec(set.lines, 8 + 2 + 4 + 8 + kLineSize, [&] {
-            LineEntry l;
-            l.tag = d.u64();
-            l.dirty = d.boolean();
-            l.compressed = d.boolean();
-            l.segments = d.u32();
-            l.lastUse = d.u64();
-            d.bytes(l.data.bytes.data(), kLineSize);
-            return l;
-        });
-        return set;
-    });
-    if (d.ok() && (capacity != cfg_.capacityBytes || ways != cfg_.ways ||
-                   tagFactor != cfg_.tagFactor ||
-                   segBytes != cfg_.segmentBytes ||
-                   dictSymbols != cfg_.dictionarySymbols ||
-                   sets.size() != sets_.size())) {
-        d.fail("SC2 cache geometry mismatch");
-    }
-    d.endSection();
+    walk(*this, d);
     if (!d.ok())
         return;
-    useClock_ = useClock;
-    valid_ = valid;
-    trained_ = trained;
-    fillsSinceTrain_ = fillsSinceTrain;
-    retrainings_ = retrainings;
-    stats_ = stats;
-    wear_ = std::move(wear);
-    sampler_ = std::move(sampler);
-    trainFreqs_ = std::move(trainFreqs);
     table_ = trained_
                  ? comp::HuffmanTable::build(trainFreqs_,
                                              cfg_.dictionarySymbols)
                  : comp::HuffmanTable{};
-    sets_ = std::move(sets);
 }
 
 } // namespace cache

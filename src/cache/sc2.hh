@@ -87,6 +87,9 @@ class Sc2Cache : public Llc
         std::vector<LineEntry> lines;
     };
 
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     std::uint64_t setOf(Addr addr) const;
     std::uint32_t lineBits(const CacheLine &data) const;
     /** Emit the image the data array stores for @p data (Huffman stream

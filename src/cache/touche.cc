@@ -505,120 +505,89 @@ ToucheCache::debugCorruptSignature(std::uint64_t seed)
     return false;
 }
 
+template <typename Self, typename IO>
 void
-ToucheCache::saveState(snap::Serializer &s) const
+ToucheCache::walk(Self &self, IO &io)
 {
-    s.beginSection("TCHE");
-    s.u64(cfg_.capacityBytes);
-    s.u32(cfg_.ways);
-    s.u32(cfg_.linesPerSuperBlock);
-    s.u64(useClock_);
-    s.u64(valid_);
-    s.u64(sigFalsePositives_);
-    s.u64(sigEvictions_);
-    s.u64(recompactions_);
-    stats_.save(s);
-    wear_.save(s);
-    s.vec(sets_, [&](const Set &set) {
-        s.vec(set.blocks, [&](const SuperBlock &b) {
-            s.u64(b.tag);
-            s.boolean(b.valid);
-            s.u64(b.lastUse);
-            s.u64(b.sigStream.sizeBits());
-            s.vecU64(b.sigStream.words());
-            s.u64(b.image.sizeBits());
-            s.vecU64(b.image.words());
-            s.vec(b.slots, [&](const Slot &l) {
-                s.boolean(l.valid);
-                s.boolean(l.dirty);
-                s.boolean(l.compressed);
-                s.u32(l.costBits);
-                s.u32(l.sig);
-                s.u64(l.lineNumber);
-                s.bytes(l.data.bytes.data(), kLineSize);
+    io.section("TCHE", [&] {
+        const char *geometry = "touche cache geometry mismatch";
+        const unsigned lines_per_sb = self.cfg_.linesPerSuperBlock;
+        io.expect(self.cfg_.capacityBytes, geometry);
+        io.expect(self.cfg_.ways, geometry);
+        io.expect(lines_per_sb, geometry);
+        io.u64(self.useClock_);
+        io.u64(self.valid_);
+        io.u64(self.sigFalsePositives_);
+        io.u64(self.sigEvictions_);
+        io.u64(self.recompactions_);
+        io.part(self.stats_);
+        io.part(self.wear_);
+        // Exactly `ways` superblocks per set: insert's LRU victim scan
+        // starts at blocks[0], and the way index charges wear.
+        io.fixedVec(self.sets_, 8, geometry, [&](auto &set) {
+            io.fixedVec(set.blocks, 8 + 1 + 8 + 8 + 8,
+                        "touche set superblock count mismatch",
+                        [&](auto &b) {
+                io.u64(b.tag);
+                io.boolean(b.valid);
+                io.u64(b.lastUse);
+                BitWriter::walk(b.sigStream, io, true);
+                BitWriter::walk(b.image, io, true);
+                io.fixedVec(b.slots, 1 + 1 + 1 + 4 + 4 + 8 + kLineSize,
+                            "touche superblock slot-count mismatch",
+                            [&](auto &l) {
+                    io.boolean(l.valid);
+                    io.boolean(l.dirty);
+                    io.boolean(l.compressed);
+                    io.u32(l.costBits);
+                    io.u32(l.sig, 1u << comp::SigCodec::kSignatureBits,
+                           "touche signature out of range");
+                    io.u64(l.lineNumber);
+                    io.bytes(l.data.bytes.data(), kLineSize);
+                    bool compressed = false;
+                    io.check(!l.valid ||
+                                 (costOf(l.data, &compressed) ==
+                                      l.costBits &&
+                                  compressed == l.compressed),
+                             "touche slot cost disagrees with its data");
+                });
+                io.check(!b.valid || holdsDistinctLines(b, lines_per_sb),
+                         "touche superblock slots hold a line outside "
+                         "it, or one line twice");
             });
         });
     });
-    s.endSection();
+}
+
+bool
+ToucheCache::holdsDistinctLines(const SuperBlock &block,
+                                unsigned lines_per_sb)
+{
+    for (std::size_t i = 0; i < block.slots.size(); i++) {
+        const Slot &slot = block.slots[i];
+        if (!slot.valid)
+            continue;
+        if (slot.lineNumber / lines_per_sb != block.tag)
+            return false;
+        for (std::size_t j = 0; j < i; j++) {
+            if (block.slots[j].valid &&
+                block.slots[j].lineNumber == slot.lineNumber)
+                return false;
+        }
+    }
+    return true;
+}
+
+void
+ToucheCache::saveState(snap::Serializer &s) const
+{
+    walk(*this, s);
 }
 
 void
 ToucheCache::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("TCHE"))
-        return;
-    const std::uint64_t capacity = d.u64();
-    const std::uint32_t ways = d.u32();
-    const std::uint32_t linesPerSb = d.u32();
-    const std::uint64_t useClock = d.u64();
-    const std::uint64_t valid = d.u64();
-    const std::uint64_t sigFalsePositives = d.u64();
-    const std::uint64_t sigEvictions = d.u64();
-    const std::uint64_t recompactions = d.u64();
-    LlcStats stats;
-    stats.restore(d);
-    energy::WearTracker wear = wear_;
-    wear.restore(d);
-    std::vector<Set> sets;
-    d.readVec(sets, 8, [&] {
-        Set set;
-        d.readVec(set.blocks, 8 + 1 + 8 + 8 + 8, [&] {
-            SuperBlock b;
-            b.tag = d.u64();
-            b.valid = d.boolean();
-            b.lastUse = d.u64();
-            const std::uint64_t sigBits = d.u64();
-            std::vector<std::uint64_t> sigWords;
-            d.vecU64(sigWords);
-            const std::uint64_t imageBits = d.u64();
-            std::vector<std::uint64_t> imageWords;
-            d.vecU64(imageWords);
-            if (d.ok() &&
-                (sigBits > sigWords.size() * 64 ||
-                 sigBits + 63 < sigWords.size() * 64 ||
-                 imageBits > imageWords.size() * 64 ||
-                 imageBits + 63 < imageWords.size() * 64)) {
-                d.fail("touche stream bit counts do not fit their "
-                       "words");
-                return b;
-            }
-            if (d.ok()) {
-                b.sigStream.restore(std::move(sigWords), sigBits);
-                b.image.restore(std::move(imageWords), imageBits);
-            }
-            d.readVec(b.slots, 1 + 1 + 1 + 4 + 4 + 8 + kLineSize, [&] {
-                Slot l;
-                l.valid = d.boolean();
-                l.dirty = d.boolean();
-                l.compressed = d.boolean();
-                l.costBits = d.u32();
-                l.sig = static_cast<std::uint16_t>(d.u32());
-                l.lineNumber = d.u64();
-                d.bytes(l.data.bytes.data(), kLineSize);
-                return l;
-            });
-            if (d.ok() && b.slots.size() != cfg_.linesPerSuperBlock)
-                d.fail("touche superblock slot-count mismatch");
-            return b;
-        });
-        return set;
-    });
-    if (d.ok() && (capacity != cfg_.capacityBytes || ways != cfg_.ways ||
-                   linesPerSb != cfg_.linesPerSuperBlock ||
-                   sets.size() != sets_.size())) {
-        d.fail("touche cache geometry mismatch");
-    }
-    d.endSection();
-    if (!d.ok())
-        return;
-    useClock_ = useClock;
-    valid_ = valid;
-    sigFalsePositives_ = sigFalsePositives;
-    sigEvictions_ = sigEvictions;
-    recompactions_ = recompactions;
-    stats_ = stats;
-    wear_ = std::move(wear);
-    sets_ = std::move(sets);
+    walk(*this, d);
 }
 
 } // namespace cache

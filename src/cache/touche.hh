@@ -129,7 +129,14 @@ class ToucheCache : public Llc
         std::vector<SuperBlock> blocks;
     };
 
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     std::uint64_t setOf(Addr super_tag) const;
+    /** Valid slots hold distinct lines of @p block, so an insert into
+     *  it always finds its own line or a free slot. */
+    static bool holdsDistinctLines(const SuperBlock &block,
+                                   unsigned lines_per_sb);
     std::uint32_t usedBits(const SuperBlock &block) const;
     /** Compressed cost of @p data (bits incl. embedded tag), and
      *  whether it is stored compressed at all. */

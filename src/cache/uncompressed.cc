@@ -151,61 +151,39 @@ UncompressedCache::audit() const
     return r;
 }
 
+template <typename Self, typename IO>
+void
+UncompressedCache::walk(Self &self, IO &io)
+{
+    io.section("UNCP", [&] {
+        const char *geometry = "uncompressed cache geometry mismatch";
+        io.expect(self.capacity_, geometry);
+        io.expect(self.ways_, geometry);
+        io.u64(self.useClock_);
+        io.u64(self.valid_);
+        io.part(self.stats_);
+        io.part(self.wear_);
+        io.fixedVec(self.store_, 8 + 1 + 1 + 8 + kLineSize, geometry,
+                    [&](auto &w) {
+                        io.u64(w.tag);
+                        io.boolean(w.valid);
+                        io.boolean(w.dirty);
+                        io.u64(w.lastUse);
+                        io.bytes(w.data.bytes.data(), kLineSize);
+                    });
+    });
+}
+
 void
 UncompressedCache::saveState(snap::Serializer &s) const
 {
-    s.beginSection("UNCP");
-    s.u64(capacity_);
-    s.u32(ways_);
-    s.u64(useClock_);
-    s.u64(valid_);
-    stats_.save(s);
-    wear_.save(s);
-    s.vec(store_, [&](const Way &w) {
-        s.u64(w.tag);
-        s.boolean(w.valid);
-        s.boolean(w.dirty);
-        s.u64(w.lastUse);
-        s.bytes(w.data.bytes.data(), kLineSize);
-    });
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 UncompressedCache::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("UNCP"))
-        return;
-    const std::uint64_t capacity = d.u64();
-    const std::uint32_t ways = d.u32();
-    const std::uint64_t useClock = d.u64();
-    const std::uint64_t valid = d.u64();
-    LlcStats stats;
-    stats.restore(d);
-    energy::WearTracker wear = wear_;
-    wear.restore(d);
-    std::vector<Way> store;
-    d.readVec(store, 8 + 1 + 1 + 8 + kLineSize, [&] {
-        Way w;
-        w.tag = d.u64();
-        w.valid = d.boolean();
-        w.dirty = d.boolean();
-        w.lastUse = d.u64();
-        d.bytes(w.data.bytes.data(), kLineSize);
-        return w;
-    });
-    if (d.ok() && (capacity != capacity_ || ways != ways_ ||
-                   store.size() != store_.size())) {
-        d.fail("uncompressed cache geometry mismatch");
-    }
-    d.endSection();
-    if (!d.ok())
-        return;
-    useClock_ = useClock;
-    valid_ = valid;
-    stats_ = stats;
-    wear_ = std::move(wear);
-    store_ = std::move(store);
+    walk(*this, d);
 }
 
 } // namespace cache

@@ -46,6 +46,9 @@ class UncompressedCache : public Llc
         CacheLine data{};
     };
 
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     std::uint64_t setOf(Addr addr) const;
     Way *find(Addr addr);
 

@@ -21,7 +21,6 @@
 
 #include "snapshot/snapshot.hh"
 #include "util/bitstream.hh"
-#include "util/sorted_view.hh"
 #include "util/types.hh"
 
 namespace morc {
@@ -126,60 +125,31 @@ class ValueSampler
 
     /** Append counts in sorted key order (the map itself is unordered,
      *  but nothing downstream depends on its iteration order). */
-    void
-    save(snap::Serializer &s) const
-    {
-        s.u32(maxSymbols_);
-        s.u64(observed_);
-        saveFreqMap(s, freqs_);
-    }
+    void save(snap::Serializer &s) const { walk(*this, s); }
+    void restore(snap::Deserializer &d) { walk(*this, d); }
 
-    void
-    restore(snap::Deserializer &d)
-    {
-        const std::uint32_t maxSymbols = d.u32();
-        const std::uint64_t observed = d.u64();
-        if (d.ok() && maxSymbols != maxSymbols_) {
-            d.fail("value sampler symbol-capacity mismatch");
-            return;
-        }
-        std::unordered_map<std::uint32_t, std::uint64_t> freqs;
-        restoreFreqMap(d, freqs);
-        if (!d.ok())
-            return;
-        observed_ = observed;
-        freqs_ = std::move(freqs);
-    }
-
-    /** Shared helper: write a value-frequency map sorted by value. */
+    /** Shared walk of a value-frequency map, sorted by value. */
+    template <typename Map, typename IO>
     static void
-    saveFreqMap(snap::Serializer &s,
-                const std::unordered_map<std::uint32_t, std::uint64_t> &m)
+    walkFreqMap(Map &m, IO &io)
     {
-        const auto kv = util::sortedView(m);
-        s.u64(kv.size());
-        for (const auto *e : kv) {
-            s.u32(e->first);
-            s.u64(e->second);
-        }
-    }
-
-    /** Shared helper: read a map written by saveFreqMap(). */
-    static void
-    restoreFreqMap(snap::Deserializer &d,
-                   std::unordered_map<std::uint32_t, std::uint64_t> &m)
-    {
-        m.clear();
-        const std::uint64_t n = d.arrayLen(4 + 8);
-        m.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n && d.ok(); i++) {
-            const std::uint32_t value = d.u32();
-            const std::uint64_t freq = d.u64();
-            m.emplace(value, freq);
-        }
+        io.sortedMap(m, 4 + 8, [&](auto &value, auto &freq) {
+            io.u32(value);
+            io.u64(freq);
+        });
     }
 
   private:
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        io.expect(self.maxSymbols_,
+                  "value sampler symbol-capacity mismatch");
+        io.u64(self.observed_);
+        walkFreqMap(self.freqs_, io);
+    }
+
     unsigned maxSymbols_;
     std::uint64_t observed_ = 0;
     std::unordered_map<std::uint32_t, std::uint64_t> freqs_;

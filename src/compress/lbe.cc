@@ -185,80 +185,49 @@ LbeEncoder::reset()
     std::fill(hashSlots_.begin(), hashSlots_.end(), 0u);
 }
 
+template <typename Self, typename IO>
+void
+LbeEncoder::walk(Self &self, IO &io)
+{
+    io.section("LBE ", [&] {
+        const char *config = "LBE configuration mismatch (dictionary/"
+                             "table sizing differs from the live encoder)";
+        io.expect(self.cfg_.dictBytes, config);
+        io.expect(self.cfg_.nodes64, config);
+        io.expect(self.cfg_.nodes128, config);
+        io.expect(self.cfg_.nodes256, config);
+        for (auto &c : self.stats_.count)
+            io.u64(c);
+        for (auto &c : self.stats_.zeroCount)
+            io.u64(c);
+        io.vecU32(self.values32_);
+        // A packed node is left | right << 32, so as one u64 it has the
+        // bytes of the two u32 children this layout was defined with.
+        const auto nodes = [&](auto &table, unsigned cap) {
+            io.vec(table, 8, [&](auto &n) { io.u64(n); });
+            io.check(table.size() <= cap,
+                     "LBE node table overflows its configured capacity");
+        };
+        nodes(self.nodes64_, self.cfg_.nodes64);
+        nodes(self.nodes128_, self.cfg_.nodes128);
+        nodes(self.nodes256_, self.cfg_.nodes256);
+        io.check(self.values32_.size() <= self.cfg_.entries32(),
+                 "LBE dictionary overflows its configured capacity");
+    });
+}
+
 void
 LbeEncoder::save(snap::Serializer &s) const
 {
-    s.beginSection("LBE ");
-    s.u32(cfg_.dictBytes);
-    s.u32(cfg_.nodes64);
-    s.u32(cfg_.nodes128);
-    s.u32(cfg_.nodes256);
-    constexpr int kNumSymbols = static_cast<int>(LbeSymbol::NumSymbols);
-    for (int i = 0; i < kNumSymbols; i++)
-        s.u64(stats_.count[i]);
-    for (int i = 0; i < kNumSymbols; i++)
-        s.u64(stats_.zeroCount[i]);
-    s.vecU32(values32_);
-    const auto putNodes = [&](const std::vector<std::uint64_t> &nodes) {
-        // Packed nodes serialize as their two u32 children — the
-        // on-disk layout predates the packing and must not change.
-        s.vec(nodes, [&](std::uint64_t n) {
-            s.u32(static_cast<std::uint32_t>(n));
-            s.u32(static_cast<std::uint32_t>(n >> 32));
-        });
-    };
-    putNodes(nodes64_);
-    putNodes(nodes128_);
-    putNodes(nodes256_);
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 LbeEncoder::restore(snap::Deserializer &d)
 {
-    if (!d.beginSection("LBE "))
-        return;
-    const std::uint32_t dictBytes = d.u32();
-    const std::uint32_t n64 = d.u32();
-    const std::uint32_t n128 = d.u32();
-    const std::uint32_t n256 = d.u32();
-    if (d.ok() && (dictBytes != cfg_.dictBytes || n64 != cfg_.nodes64 ||
-                   n128 != cfg_.nodes128 || n256 != cfg_.nodes256)) {
-        d.fail("LBE configuration mismatch (dictionary/table sizing "
-               "differs from the live encoder)");
-    }
-    LbeStats stats;
-    constexpr int kNumSymbols = static_cast<int>(LbeSymbol::NumSymbols);
-    for (int i = 0; i < kNumSymbols; i++)
-        stats.count[i] = d.u64();
-    for (int i = 0; i < kNumSymbols; i++)
-        stats.zeroCount[i] = d.u64();
-    std::vector<std::uint32_t> values;
-    d.vecU32(values);
-    const auto getNodes = [&](std::vector<std::uint64_t> &nodes,
-                              unsigned cap) {
-        d.readVec(nodes, 8, [&] {
-            const std::uint32_t left = d.u32();
-            const std::uint32_t right = d.u32();
-            return nodeKey(left, right);
-        });
-        if (d.ok() && nodes.size() > cap)
-            d.fail("LBE node table overflows its configured capacity");
-    };
-    std::vector<std::uint64_t> t64, t128, t256;
-    getNodes(t64, cfg_.nodes64);
-    getNodes(t128, cfg_.nodes128);
-    getNodes(t256, cfg_.nodes256);
-    if (d.ok() && values.size() > cfg_.entries32())
-        d.fail("LBE dictionary overflows its configured capacity");
-    d.endSection();
+    walk(*this, d);
     if (!d.ok())
         return;
-    stats_ = stats;
-    values32_ = std::move(values);
-    nodes64_ = std::move(t64);
-    nodes128_ = std::move(t128);
-    nodes256_ = std::move(t256);
     // Rebuild the hash index from the committed sequence (insertion
     // order fixes the layout, so this is deterministic).
     std::fill(hashSlots_.begin(), hashSlots_.end(), 0u);

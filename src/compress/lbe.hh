@@ -231,6 +231,9 @@ class LbeEncoder
     void restore(snap::Deserializer &d);
 
   private:
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     /**
      * Dictionary updates buffered during one line so measure() can run
      * without mutating and append() can commit atomically. One scratch

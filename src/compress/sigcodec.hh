@@ -81,39 +81,25 @@ class SigCodec
     std::uint64_t literalCount() const { return literals_; }
 
     /** Append repeat context and diagnostic counters. */
-    void
-    save(snap::Serializer &s) const
-    {
-        s.beginSection("SIGC");
-        s.boolean(hasPrev_);
-        s.u32(prev_);
-        s.u64(repeats_);
-        s.u64(literals_);
-        s.endSection();
-    }
+    void save(snap::Serializer &s) const { walk(*this, s); }
 
     /** Restore state written by save(). */
-    void
-    restore(snap::Deserializer &d)
-    {
-        if (!d.beginSection("SIGC"))
-            return;
-        const bool hasPrev = d.boolean();
-        const std::uint32_t prev = d.u32();
-        const std::uint64_t repeats = d.u64();
-        const std::uint64_t literals = d.u64();
-        if (d.ok() && prev >= (1u << kSignatureBits))
-            d.fail("signature codec literal out of range");
-        d.endSection();
-        if (!d.ok())
-            return;
-        hasPrev_ = hasPrev;
-        prev_ = static_cast<std::uint16_t>(prev);
-        repeats_ = repeats;
-        literals_ = literals;
-    }
+    void restore(snap::Deserializer &d) { walk(*this, d); }
 
   private:
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        io.section("SIGC", [&] {
+            io.boolean(self.hasPrev_);
+            io.u32(self.prev_, 1u << kSignatureBits,
+                   "signature codec literal out of range");
+            io.u64(self.repeats_);
+            io.u64(self.literals_);
+        });
+    }
+
     bool hasPrev_ = false;
     std::uint16_t prev_ = 0;
     std::uint64_t repeats_ = 0;

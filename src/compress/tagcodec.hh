@@ -81,61 +81,32 @@ class TagCodec
     }
 
     /** Append base state and diagnostic counters. */
-    void
-    save(snap::Serializer &s) const
-    {
-        s.beginSection("TAGC");
-        s.u32(numBases_);
-        s.vecU64(bases_);
-        s.vec(baseValid_, [&](bool v) { s.boolean(v); });
-        s.vecU64(baseUse_);
-        s.u64(useClock_);
-        s.u64(newBases_);
-        s.u64(deltas_);
-        s.u64(deltaBitsTotal_);
-        s.endSection();
-    }
+    void save(snap::Serializer &s) const { walk(*this, s); }
 
     /** Restore state written by save(); base count must match. */
-    void
-    restore(snap::Deserializer &d)
-    {
-        if (!d.beginSection("TAGC"))
-            return;
-        const std::uint32_t numBases = d.u32();
-        std::vector<std::uint64_t> bases;
-        std::vector<bool> valid;
-        std::vector<std::uint64_t> use;
-        d.vecU64(bases);
-        {
-            const std::uint64_t n = d.arrayLen(1);
-            for (std::uint64_t i = 0; i < n && d.ok(); i++)
-                valid.push_back(d.boolean());
-        }
-        d.vecU64(use);
-        const std::uint64_t useClock = d.u64();
-        const std::uint64_t newBases = d.u64();
-        const std::uint64_t deltas = d.u64();
-        const std::uint64_t deltaBitsTotal = d.u64();
-        if (d.ok() &&
-            (numBases != numBases_ || bases.size() != bases_.size() ||
-             valid.size() != baseValid_.size() ||
-             use.size() != baseUse_.size())) {
-            d.fail("tag codec base-count mismatch");
-        }
-        d.endSection();
-        if (!d.ok())
-            return;
-        bases_ = std::move(bases);
-        baseValid_ = std::move(valid);
-        baseUse_ = std::move(use);
-        useClock_ = useClock;
-        newBases_ = newBases;
-        deltas_ = deltas;
-        deltaBitsTotal_ = deltaBitsTotal;
-    }
+    void restore(snap::Deserializer &d) { walk(*this, d); }
 
   private:
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        io.section("TAGC", [&] {
+            const char *bases = "tag codec base-count mismatch";
+            io.expect(self.numBases_, bases);
+            io.fixedVec(self.bases_, 8, bases,
+                        [&](auto &b) { io.u64(b); });
+            io.fixedVec(self.baseValid_, 1, bases,
+                        [&](auto &&v) { io.boolean(v); });
+            io.fixedVec(self.baseUse_, 8, bases,
+                        [&](auto &u) { io.u64(u); });
+            io.u64(self.useClock_);
+            io.u64(self.newBases_);
+            io.u64(self.deltas_);
+            io.u64(self.deltaBitsTotal_);
+        });
+    }
+
     struct Plan
     {
         unsigned base; // which base the delta is against

@@ -997,233 +997,127 @@ LogCache::lbeStats() const
     return sum;
 }
 
+template <typename Self, typename IO>
+void
+LogCache::walk(Self &self, IO &io)
+{
+    io.section("MORC", [&] {
+        // Structural + policy fingerprint: everything that shapes state
+        // layout or future behavior. Doubles compare bit-exactly.
+        const MorcConfig &cfg = self.cfg_;
+        const char *config = "MORC configuration mismatch (snapshot was "
+                             "taken with different log/LMT sizing or "
+                             "policy knobs)";
+        io.expect(cfg.capacityBytes, config);
+        io.expect(cfg.logBytes, config);
+        io.expect(cfg.activeLogs, config);
+        io.expect(cfg.lmtFactor, config);
+        io.expect(cfg.lmtWays, config);
+        io.expect(cfg.mergedTags, config);
+        io.expect(cfg.tagStoreFactor, config);
+        io.expect(cfg.tagBases, config);
+        io.expect(cfg.fudge, config);
+        io.expect(cfg.compressionEnabled, config);
+        io.expect(cfg.unlimitedMeta, config);
+
+        io.u64(self.valid_);
+        io.u64(self.appended_);
+        io.u64(self.seqCounter_);
+        io.u64(self.logReuses_);
+        io.u64(self.lmtAliasedMisses_);
+        io.part(self.stats_);
+        io.part(self.wear_);
+
+        io.fixedVec(self.logs_, 8, "MORC log count mismatch", [&](auto &g) {
+            io.u64(g.dataBits);
+            io.u64(g.tagBits);
+            io.u32(g.validCount);
+            io.boolean(g.open);
+            io.u64(g.closedSeq);
+            io.vec(g.lines, 8 + 1 + 4 + 4 + kLineSize, [&](auto &l) {
+                io.u64(l.lineNum);
+                io.boolean(l.valid);
+                io.u32(l.dataBits);
+                io.u32(l.tagBits);
+                io.bytes(l.data.bytes.data(), kLineSize);
+            });
+            io.part(g.lbe);
+            io.part(g.tags);
+            BitWriter::walk(g.tagStream, io, false);
+        });
+
+        // Bounds: every log reference must stay inside logs_ so a
+        // restored instance can never index out of range.
+        const std::uint64_t num_logs = self.logs_.size();
+        const char *sizing = "MORC active-set or LMT sizing mismatch";
+        io.fixedVec(self.active_, 4, sizing, [&](auto &a) {
+            io.u32(a, num_logs, "MORC active log index out of range");
+        });
+        io.vec(self.closedFifo_, 4, [&](auto &f) {
+            io.u32(f, num_logs, "MORC FIFO log index out of range");
+        });
+        const auto lmtEntry = [&](auto &e) {
+            io.boolean(e.valid);
+            io.boolean(e.modified);
+            io.u32(e.logIdx);
+            io.u64(e.lineNum);
+            io.check(!e.valid || e.logIdx < num_logs,
+                     "MORC LMT entry log index out of range");
+        };
+        io.fixedVec(self.lmt_, 1 + 1 + 4 + 8, sizing, lmtEntry);
+        // Unlimited-metadata map, sorted by line number for determinism.
+        io.sortedMap(self.lmtMap_, 8 + 1 + 1 + 4 + 8,
+                     [&](auto &line_num, auto &e) {
+                         io.u64(line_num);
+                         lmtEntry(e);
+                     });
+    });
+}
+
+bool
+LogCache::lmtReachesLines() const
+{
+    const auto holds = [&](const LmtEntry &e) {
+        for (const LogLine &line : logs_[e.logIdx].lines) {
+            if (line.valid && line.lineNum == e.lineNum)
+                return true;
+        }
+        return false;
+    };
+    if (!cfg_.unlimitedMeta) {
+        for (const LmtEntry &e : lmt_) {
+            if (e.valid && !holds(e))
+                return false;
+        }
+        return true;
+    }
+    for (const auto &[line_num, e] : lmtMap_) {
+        if (e.valid && (e.lineNum != line_num || !holds(e)))
+            return false;
+    }
+    // A log flush looks every valid line up in the map.
+    for (const Log &g : logs_) {
+        for (const LogLine &line : g.lines) {
+            if (line.valid && !lmtMap_.count(line.lineNum))
+                return false;
+        }
+    }
+    return true;
+}
+
 void
 LogCache::saveState(snap::Serializer &s) const
 {
-    s.beginSection("MORC");
-    // Structural + policy fingerprint: everything that shapes state
-    // layout or future behavior. Doubles compare bit-exactly.
-    s.u64(cfg_.capacityBytes);
-    s.u32(cfg_.logBytes);
-    s.u32(cfg_.activeLogs);
-    s.u32(cfg_.lmtFactor);
-    s.u32(cfg_.lmtWays);
-    s.boolean(cfg_.mergedTags);
-    s.f64(cfg_.tagStoreFactor);
-    s.u32(cfg_.tagBases);
-    s.f64(cfg_.fudge);
-    s.boolean(cfg_.compressionEnabled);
-    s.boolean(cfg_.unlimitedMeta);
-
-    s.u64(valid_);
-    s.u64(appended_);
-    s.u64(seqCounter_);
-    s.u64(logReuses_);
-    s.u64(lmtAliasedMisses_);
-    stats_.save(s);
-    wear_.save(s);
-
-    s.vec(logs_, [&](const Log &g) {
-        s.u64(g.dataBits);
-        s.u64(g.tagBits);
-        s.u32(g.validCount);
-        s.boolean(g.open);
-        s.u64(g.closedSeq);
-        s.vec(g.lines, [&](const LogLine &l) {
-            s.u64(l.lineNum);
-            s.boolean(l.valid);
-            s.u32(l.dataBits);
-            s.u32(l.tagBits);
-            s.bytes(l.data.bytes.data(), kLineSize);
-        });
-        g.lbe.save(s);
-        g.tags.save(s);
-        s.vecU64(g.tagStream.words());
-        s.u64(g.tagStream.sizeBits());
-    });
-
-    s.vecU32(active_);
-    std::vector<std::uint32_t> fifo(closedFifo_.begin(),
-                                    closedFifo_.end());
-    s.vecU32(fifo);
-
-    s.vec(lmt_, [&](const LmtEntry &e) {
-        s.boolean(e.valid);
-        s.boolean(e.modified);
-        s.u32(e.logIdx);
-        s.u64(e.lineNum);
-    });
-
-    // Unlimited-metadata map, sorted by line number for determinism.
-    const auto kv = util::sortedView(lmtMap_);
-    s.u64(kv.size());
-    for (const auto *e : kv) {
-        s.u64(e->first);
-        s.boolean(e->second.valid);
-        s.boolean(e->second.modified);
-        s.u32(e->second.logIdx);
-        s.u64(e->second.lineNum);
-    }
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 LogCache::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("MORC"))
-        return;
-    const std::uint64_t capacity = d.u64();
-    const std::uint32_t logBytes = d.u32();
-    const std::uint32_t activeLogs = d.u32();
-    const std::uint32_t lmtFactor = d.u32();
-    const std::uint32_t lmtWays = d.u32();
-    const bool mergedTags = d.boolean();
-    const double tagStoreFactor = d.f64();
-    const std::uint32_t tagBases = d.u32();
-    const double fudge = d.f64();
-    const bool compressionEnabled = d.boolean();
-    const bool unlimitedMeta = d.boolean();
-    if (d.ok() &&
-        (capacity != cfg_.capacityBytes || logBytes != cfg_.logBytes ||
-         activeLogs != cfg_.activeLogs || lmtFactor != cfg_.lmtFactor ||
-         lmtWays != cfg_.lmtWays || mergedTags != cfg_.mergedTags ||
-         tagStoreFactor != cfg_.tagStoreFactor ||
-         tagBases != cfg_.tagBases || fudge != cfg_.fudge ||
-         compressionEnabled != cfg_.compressionEnabled ||
-         unlimitedMeta != cfg_.unlimitedMeta)) {
-        d.fail("MORC configuration mismatch (snapshot was taken with "
-               "different log/LMT sizing or policy knobs)");
-    }
-
-    const std::uint64_t valid = d.u64();
-    const std::uint64_t appended = d.u64();
-    const std::uint64_t seqCounter = d.u64();
-    const std::uint64_t logReuses = d.u64();
-    const std::uint64_t lmtAliasedMisses = d.u64();
-    cache::LlcStats stats;
-    stats.restore(d);
-    energy::WearTracker wear = wear_;
-    wear.restore(d);
-
-    const std::uint64_t numLogs = d.arrayLen(8);
-    if (d.ok() && numLogs != logs_.size()) {
-        d.fail("MORC log count mismatch");
-        d.endSection();
-        return;
-    }
-    std::vector<Log> logs;
-    logs.reserve(static_cast<std::size_t>(numLogs));
-    for (std::uint64_t i = 0; i < numLogs && d.ok(); i++) {
-        Log g(cfg_.lbe, cfg_.tagBases);
-        g.dataBits = d.u64();
-        g.tagBits = d.u64();
-        g.validCount = d.u32();
-        g.open = d.boolean();
-        g.closedSeq = d.u64();
-        d.readVec(g.lines, 8 + 1 + 4 + 4 + kLineSize, [&] {
-            LogLine l;
-            l.lineNum = d.u64();
-            l.valid = d.boolean();
-            l.dataBits = d.u32();
-            l.tagBits = d.u32();
-            d.bytes(l.data.bytes.data(), kLineSize);
-            return l;
-        });
-        g.lbe.restore(d);
-        g.tags.restore(d);
-        std::vector<std::uint64_t> words;
-        d.vecU64(words);
-        const std::uint64_t bits = d.u64();
-        if (d.ok() && (bits + 63) / 64 != words.size()) {
-            d.fail("MORC tag-stream bit count disagrees with its "
-                   "word count");
-        }
-        if (d.ok())
-            g.tagStream.restore(std::move(words), bits);
-        logs.push_back(std::move(g));
-    }
-
-    std::vector<std::uint32_t> active;
-    d.vecU32(active);
-    std::vector<std::uint32_t> fifo;
-    d.vecU32(fifo);
-
-    std::vector<LmtEntry> lmt;
-    d.readVec(lmt, 1 + 1 + 4 + 8, [&] {
-        LmtEntry e;
-        e.valid = d.boolean();
-        e.modified = d.boolean();
-        e.logIdx = d.u32();
-        e.lineNum = d.u64();
-        return e;
-    });
-
-    std::unordered_map<Addr, LmtEntry> lmtMap;
-    {
-        const std::uint64_t n = d.arrayLen(8 + 1 + 1 + 4 + 8);
-        lmtMap.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n && d.ok(); i++) {
-            const Addr key = d.u64();
-            LmtEntry e;
-            e.valid = d.boolean();
-            e.modified = d.boolean();
-            e.logIdx = d.u32();
-            e.lineNum = d.u64();
-            lmtMap.emplace(key, e);
-        }
-    }
-
-    if (d.ok() && (active.size() != active_.size() ||
-                   lmt.size() != lmt_.size())) {
-        d.fail("MORC active-set or LMT sizing mismatch");
-    }
-    // Bounds: every log reference must stay inside logs_ so a restored
-    // instance can never index out of range.
-    const auto logIdxOk = [&](std::uint32_t idx) {
-        return idx < numLogs;
-    };
-    if (d.ok()) {
-        for (std::uint32_t a : active) {
-            if (!logIdxOk(a)) {
-                d.fail("MORC active log index out of range");
-                break;
-            }
-        }
-        for (std::uint32_t f : fifo) {
-            if (!logIdxOk(f)) {
-                d.fail("MORC FIFO log index out of range");
-                break;
-            }
-        }
-        for (const LmtEntry &e : lmt) {
-            if (e.valid && !logIdxOk(e.logIdx)) {
-                d.fail("MORC LMT entry log index out of range");
-                break;
-            }
-        }
-        for (const auto &e : lmtMap) {
-            if (e.second.valid && !logIdxOk(e.second.logIdx)) {
-                d.fail("MORC LMT-map entry log index out of range");
-                break;
-            }
-        }
-    }
-    d.endSection();
-    if (!d.ok())
-        return;
-
-    valid_ = valid;
-    appended_ = appended;
-    seqCounter_ = seqCounter;
-    logReuses_ = logReuses;
-    lmtAliasedMisses_ = lmtAliasedMisses;
-    stats_ = stats;
-    wear_ = std::move(wear);
-    logs_ = std::move(logs);
-    active_ = std::move(active);
-    closedFifo_.assign(fifo.begin(), fifo.end());
-    lmt_ = std::move(lmt);
-    lmtMap_ = std::move(lmtMap);
+    walk(*this, d);
+    if (d.ok() && !lmtReachesLines())
+        d.fail("MORC LMT names a line its log does not hold, or a valid "
+               "line has no map entry");
 }
 
 } // namespace core

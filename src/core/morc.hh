@@ -256,6 +256,15 @@ class LogCache : public cache::Llc
         Addr lineNum = 0;
     };
 
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
+    /** Every valid LMT entry names a log holding a valid copy of its
+     *  line (a hit reads that copy; map entries are keyed by that
+     *  line), and in unlimited-metadata mode every valid line has a map
+     *  entry (a log flush looks it up). */
+    bool lmtReachesLines() const;
+
     /** Candidate LMT slots for a line (column-associative ways). */
     void slotsFor(Addr line_num, std::uint64_t *out) const;
 

@@ -197,48 +197,34 @@ WearTracker::merge(const WearTracker &other)
     totalFlips_ += other.totalFlips_;
 }
 
+template <typename Self, typename IO>
+void
+WearTracker::walk(Self &self, IO &io)
+{
+    io.section("WEAR", [&] {
+        const char *geometry = "wear tracker geometry mismatch";
+        io.expect(self.sets_, geometry);
+        io.expect(self.ways_, geometry);
+        io.fixedVec(self.frameWrites_, 8, geometry,
+                    [&](auto &w) { io.u64(w); });
+        io.fixedVec(self.setFlips_, 8, geometry,
+                    [&](auto &f) { io.u64(f); });
+        io.u64(self.totalWrites_);
+        io.u64(self.totalBits_);
+        io.u64(self.totalFlips_);
+    });
+}
+
 void
 WearTracker::save(snap::Serializer &s) const
 {
-    s.beginSection("WEAR");
-    s.u64(sets_);
-    s.u64(ways_);
-    s.vecU64(frameWrites_);
-    s.vecU64(setFlips_);
-    s.u64(totalWrites_);
-    s.u64(totalBits_);
-    s.u64(totalFlips_);
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 WearTracker::restore(snap::Deserializer &d)
 {
-    if (!d.beginSection("WEAR"))
-        return;
-    const std::uint64_t sets = d.u64();
-    const std::uint64_t ways = d.u64();
-    std::vector<std::uint64_t> frames;
-    std::vector<std::uint64_t> flips;
-    d.vecU64(frames);
-    d.vecU64(flips);
-    const std::uint64_t totalWrites = d.u64();
-    const std::uint64_t totalBits = d.u64();
-    const std::uint64_t totalFlips = d.u64();
-    if (d.ok() &&
-        (sets != sets_ || ways != ways_ ||
-         frames.size() != frameWrites_.size() ||
-         flips.size() != setFlips_.size())) {
-        d.fail("wear tracker geometry mismatch");
-    }
-    d.endSection();
-    if (!d.ok())
-        return;
-    frameWrites_ = std::move(frames);
-    setFlips_ = std::move(flips);
-    totalWrites_ = totalWrites;
-    totalBits_ = totalBits;
-    totalFlips_ = totalFlips;
+    walk(*this, d);
 }
 
 LifetimeForecast

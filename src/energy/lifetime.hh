@@ -124,6 +124,9 @@ class WearTracker
     void restore(snap::Deserializer &d);
 
   private:
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     std::uint64_t sets_ = 0;
     std::uint64_t ways_ = 0;
     std::vector<std::uint64_t> frameWrites_; // sets_ x ways_

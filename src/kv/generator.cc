@@ -61,39 +61,30 @@ Generator::next()
     return req;
 }
 
+template <typename Self, typename IO>
+void
+Generator::walk(Self &self, IO &io)
+{
+    io.expect(static_cast<std::uint64_t>(self.state_.size()),
+              "kv::Generator tenant count mismatch");
+    for (auto &t : self.state_) {
+        Rng::walk(t.rng, io);
+        io.u64(t.served);
+        io.i64(t.credit);
+    }
+    io.u64(self.served_);
+}
+
 void
 Generator::save(snap::Serializer &s) const
 {
-    s.u64(state_.size());
-    for (const Tenant &t : state_) {
-        for (unsigned w = 0; w < 4; w++)
-            s.u64(t.rng.stateWord(w));
-        s.u64(t.served);
-        s.u64(static_cast<std::uint64_t>(t.credit));
-    }
-    s.u64(served_);
+    walk(*this, s);
 }
 
 void
 Generator::restore(snap::Deserializer &d)
 {
-    const std::uint64_t n = d.u64();
-    if (n != state_.size()) {
-        d.fail("kv::Generator tenant count mismatch");
-        return;
-    }
-    std::vector<Tenant> state(state_.size());
-    for (Tenant &t : state) {
-        for (unsigned w = 0; w < 4; w++)
-            t.rng.setStateWord(w, d.u64());
-        t.served = d.u64();
-        t.credit = static_cast<std::int64_t>(d.u64());
-    }
-    const std::uint64_t served = d.u64();
-    if (!d.ok())
-        return;
-    state_ = std::move(state);
-    served_ = served;
+    walk(*this, d);
 }
 
 } // namespace kv

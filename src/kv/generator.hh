@@ -95,6 +95,9 @@ class Generator
     void restore(snap::Deserializer &d);
 
   private:
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     struct Tenant
     {
         Rng rng{1};

@@ -34,29 +34,28 @@ digestLine(std::uint64_t h, Addr addr, const CacheLine &data)
     return h;
 }
 
+template <typename Self, typename IO>
+void
+TenantStats::walk(Self &self, IO &io)
+{
+    io.u64(self.requests);
+    io.u64(self.gets);
+    io.u64(self.sets);
+    io.u64(self.lineReads);
+    io.u64(self.frontHits);
+    io.u64(self.latencySum);
+}
+
 void
 TenantStats::save(snap::Serializer &s) const
 {
-    s.u64(requests);
-    s.u64(gets);
-    s.u64(sets);
-    s.u64(lineReads);
-    s.u64(frontHits);
-    s.u64(latencySum);
+    walk(*this, s);
 }
 
 void
 TenantStats::restore(snap::Deserializer &d)
 {
-    TenantStats v;
-    v.requests = d.u64();
-    v.gets = d.u64();
-    v.sets = d.u64();
-    v.lineReads = d.u64();
-    v.frontHits = d.u64();
-    v.latencySum = d.u64();
-    if (d.ok())
-        *this = v;
+    walk(*this, d);
 }
 
 double
@@ -261,60 +260,41 @@ Service::audit() const
     return r;
 }
 
+template <typename Self, typename IO>
+void
+Service::walk(Self &self, IO &io)
+{
+    io.section("KVSV", [&] {
+        io.u64(self.cycles_);
+        io.u64(self.requests_);
+        io.expect(static_cast<std::uint64_t>(self.values_.size()),
+                  "kv::Service tenant count mismatch");
+        io.part(self.gen_);
+        io.part(*self.front_);
+        io.part(self.tiers_);
+        for (std::size_t i = 0; i < self.values_.size(); i++) {
+            io.part(self.values_[i]);
+            io.part(self.tstats_[i]);
+            io.part(self.tenantLat_[i]);
+        }
+        io.part(self.allLat_);
+        io.expect(static_cast<std::uint8_t>(self.telemetry_ ? 1 : 0),
+                  "kv::Service telemetry configuration mismatch");
+        if (self.telemetry_)
+            io.part(*self.telemetry_);
+    });
+}
+
 void
 Service::saveState(snap::Serializer &s) const
 {
-    s.beginSection("KVSV");
-    s.u64(cycles_);
-    s.u64(requests_);
-    s.u64(values_.size());
-    gen_.save(s);
-    front_->saveState(s);
-    tiers_.saveState(s);
-    for (std::size_t i = 0; i < values_.size(); i++) {
-        values_[i].save(s);
-        tstats_[i].save(s);
-        tenantLat_[i].save(s);
-    }
-    allLat_.save(s);
-    s.u8(telemetry_ ? 1 : 0);
-    if (telemetry_)
-        telemetry_->saveState(s);
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 Service::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("KVSV"))
-        return;
-    const Cycles cycles = d.u64();
-    const std::uint64_t requests = d.u64();
-    if (d.u64() != values_.size()) {
-        d.fail("kv::Service tenant count mismatch");
-        return;
-    }
-    gen_.restore(d);
-    front_->restoreState(d);
-    tiers_.restoreState(d);
-    for (std::size_t i = 0; i < values_.size(); i++) {
-        values_[i].restore(d);
-        tstats_[i].restore(d);
-        tenantLat_[i].restore(d);
-    }
-    allLat_.restore(d);
-    const bool hadTelemetry = d.u8() != 0;
-    if (hadTelemetry != (telemetry_ != nullptr)) {
-        d.fail("kv::Service telemetry configuration mismatch");
-        return;
-    }
-    if (telemetry_)
-        telemetry_->restoreState(d);
-    d.endSection();
-    if (!d.ok())
-        return;
-    cycles_ = cycles;
-    requests_ = requests;
+    walk(*this, d);
 }
 
 } // namespace kv

@@ -80,6 +80,9 @@ struct TenantStats
     std::uint64_t frontHits = 0;
     std::uint64_t latencySum = 0;
 
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     void save(snap::Serializer &s) const;
     void restore(snap::Deserializer &d);
 };
@@ -157,6 +160,9 @@ class Service : public check::Auditable, public snap::Snapshottable
                 std::uint32_t line_idx) const;
 
   private:
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     void registerProbes();
 
     ServiceConfig cfg_; // morc-analyze: allow(snapshot-completeness) construction-time config; restoreState() re-binds

@@ -22,31 +22,29 @@ tierLevelName(TierLevel l)
     return "?";
 }
 
+template <typename Self, typename IO>
+void
+TierStats::walk(Self &self, IO &io)
+{
+    io.u64(self.dramHits);
+    io.u64(self.ssdHits);
+    io.u64(self.originFetches);
+    io.u64(self.promotions);
+    io.u64(self.demotions);
+    io.u64(self.ssdDrops);
+    io.u64(self.writebacks);
+}
+
 void
 TierStats::save(snap::Serializer &s) const
 {
-    s.u64(dramHits);
-    s.u64(ssdHits);
-    s.u64(originFetches);
-    s.u64(promotions);
-    s.u64(demotions);
-    s.u64(ssdDrops);
-    s.u64(writebacks);
+    walk(*this, s);
 }
 
 void
 TierStats::restore(snap::Deserializer &d)
 {
-    TierStats v;
-    v.dramHits = d.u64();
-    v.ssdHits = d.u64();
-    v.originFetches = d.u64();
-    v.promotions = d.u64();
-    v.demotions = d.u64();
-    v.ssdDrops = d.u64();
-    v.writebacks = d.u64();
-    if (d.ok())
-        *this = v;
+    walk(*this, d);
 }
 
 namespace {
@@ -249,57 +247,49 @@ TieredStore::registerProbes(telemetry::Registry &reg,
                 [this](Cycles) { return double(stats_.demotions); });
 }
 
+template <typename Self, typename IO>
+void
+TieredStore::walk(Self &self, IO &io)
+{
+    io.section("KVTS", [&] {
+        io.u64(self.useClock_);
+        io.part(self.stats_);
+        for (auto *t : {&self.dram_, &self.ssd_}) {
+            io.sortedMap(t->lines, 8 + 4 + 8, [&](auto &addr, auto &e) {
+                io.u64(addr);
+                io.u32(e.bytes);
+                io.u64(e.use);
+            });
+        }
+    });
+}
+
 void
 TieredStore::saveState(snap::Serializer &s) const
 {
-    s.beginSection("KVTS");
-    s.u64(useClock_);
-    stats_.save(s);
-    for (const Tier *t : {&dram_, &ssd_}) {
-        s.u64(t->lines.size());
-        for (const auto &kv : t->lines) {
-            s.u64(kv.first);
-            s.u32(kv.second.bytes);
-            s.u64(kv.second.use);
-        }
-    }
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 TieredStore::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("KVTS"))
-        return;
-    const std::uint64_t useClock = d.u64();
-    TierStats stats;
-    stats.restore(d);
-    Tier tiers[2];
-    const bool compressed[2] = {cfg_.dramCompressed, cfg_.ssdCompressed};
-    for (unsigned ti = 0; ti < 2; ti++) {
-        Tier &t = tiers[ti];
-        const std::uint64_t n = d.arrayLen(20);
-        for (std::uint64_t i = 0; i < n && d.ok(); i++) {
-            const Addr addr = d.u64();
-            Entry e;
-            e.bytes = d.u32();
-            e.use = d.u64();
-            if (t.lines.count(addr) || t.lru.count(e.use)) {
-                d.fail("kv tier snapshot: duplicate line/stamp");
-                return;
-            }
-            t.lines[addr] = e;
-            t.lru[e.use] = addr;
-            t.usedBytes += charge(compressed[ti], e.bytes);
-        }
-    }
-    d.endSection();
+    walk(*this, d);
     if (!d.ok())
         return;
-    useClock_ = useClock;
-    stats_ = stats;
-    dram_ = std::move(tiers[0]);
-    ssd_ = std::move(tiers[1]);
+    // Each tier's LRU index and byte total derive from its lines.
+    for (Tier *t : {&dram_, &ssd_}) {
+        const bool compressed =
+            t == &dram_ ? cfg_.dramCompressed : cfg_.ssdCompressed;
+        t->lru.clear();
+        t->usedBytes = 0;
+        for (const auto &[addr, e] : t->lines) {
+            if (!t->lru.emplace(e.use, addr).second) {
+                d.fail("kv tier snapshot: duplicate LRU stamp");
+                return;
+            }
+            t->usedBytes += charge(compressed, e.bytes);
+        }
+    }
 }
 
 } // namespace kv

@@ -72,6 +72,9 @@ struct TierStats
     std::uint64_t ssdDrops = 0;
     std::uint64_t writebacks = 0;
 
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     void save(snap::Serializer &s) const;
     void restore(snap::Deserializer &d);
 };
@@ -130,6 +133,9 @@ class TieredStore : public check::Auditable, public snap::Snapshottable
         std::map<std::uint64_t, Addr> lru;
         std::uint64_t usedBytes = 0;
     };
+
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
 
     std::uint32_t storedBytes(const CacheLine &data,
                               bool compressed) const;

@@ -222,40 +222,31 @@ BankedLlc::debugCorruptLmt(std::uint64_t seed)
     return false;
 }
 
+template <typename Self, typename IO>
+void
+BankedLlc::walk(Self &self, IO &io)
+{
+    io.section("BLLC", [&] {
+        const char *topology = "banked LLC topology mismatch";
+        io.expect(self.mesh_.width, topology);
+        io.expect(self.mesh_.height, topology);
+        io.expect(static_cast<std::uint32_t>(self.banks_.size()), topology);
+        io.part(self.stats_);
+        for (auto &b : self.banks_)
+            io.part(*b);
+    });
+}
+
 void
 BankedLlc::saveState(snap::Serializer &s) const
 {
-    s.beginSection("BLLC");
-    s.u32(mesh_.width);
-    s.u32(mesh_.height);
-    s.u32(static_cast<std::uint32_t>(banks_.size()));
-    stats_.save(s);
-    for (const auto &b : banks_)
-        b->saveState(s);
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 BankedLlc::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("BLLC"))
-        return;
-    const std::uint32_t width = d.u32();
-    const std::uint32_t height = d.u32();
-    const std::uint32_t numBanks = d.u32();
-    if (d.ok() && (width != mesh_.width || height != mesh_.height ||
-                   numBanks != banks_.size())) {
-        d.fail("banked LLC topology mismatch");
-        d.endSection();
-        return;
-    }
-    stats_.restore(d);
-    for (auto &b : banks_) {
-        if (!d.ok())
-            break;
-        b->restoreState(d);
-    }
-    d.endSection();
+    walk(*this, d);
 }
 
 } // namespace mesh

@@ -116,6 +116,9 @@ class BankedLlc : public cache::Llc
     bool debugCorruptLmt(std::uint64_t seed);
 
   private:
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     MeshConfig mesh_;
     std::vector<std::unique_ptr<cache::Llc>> banks_;
 };

@@ -123,55 +123,36 @@ Noc::registerProbes(telemetry::Registry &reg, const std::string &prefix,
     }
 }
 
+template <typename Self, typename IO>
+void
+Noc::walk(Self &self, IO &io)
+{
+    io.section("NOC ", [&] {
+        const char *topology = "NoC topology mismatch";
+        io.expect(self.cfg_.width, topology);
+        io.expect(self.cfg_.height, topology);
+        io.fixedVec(self.linkBusy_, 8, topology,
+                    [&](auto &b) { io.u64(b); });
+        io.fixedVec(self.linkBusyCycles_, 8, topology,
+                    [&](auto &c) { io.u64(c); });
+        io.part(self.hops_);
+        io.part(self.queue_);
+        io.u64(self.messages_);
+        io.u64(self.hopSum_);
+        io.u64(self.queueSum_);
+    });
+}
+
 void
 Noc::saveState(snap::Serializer &s) const
 {
-    s.beginSection("NOC ");
-    s.u32(cfg_.width);
-    s.u32(cfg_.height);
-    s.vecU64(linkBusy_);
-    s.vecU64(linkBusyCycles_);
-    hops_.save(s);
-    queue_.save(s);
-    s.u64(messages_);
-    s.u64(hopSum_);
-    s.u64(queueSum_);
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 Noc::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("NOC "))
-        return;
-    const std::uint32_t width = d.u32();
-    const std::uint32_t height = d.u32();
-    std::vector<Cycles> busy;
-    std::vector<std::uint64_t> busyCycles;
-    d.vecU64(busy);
-    d.vecU64(busyCycles);
-    if (d.ok() && (width != cfg_.width || height != cfg_.height ||
-                   busy.size() != linkBusy_.size() ||
-                   busyCycles.size() != linkBusyCycles_.size())) {
-        d.fail("NoC topology mismatch");
-    }
-    stats::Histogram hops = hops_;
-    stats::Histogram queue = queue_;
-    hops.restore(d);
-    queue.restore(d);
-    const std::uint64_t messages = d.u64();
-    const std::uint64_t hopSum = d.u64();
-    const std::uint64_t queueSum = d.u64();
-    d.endSection();
-    if (!d.ok())
-        return;
-    linkBusy_ = std::move(busy);
-    linkBusyCycles_ = std::move(busyCycles);
-    hops_ = std::move(hops);
-    queue_ = std::move(queue);
-    messages_ = messages;
-    hopSum_ = hopSum;
-    queueSum_ = queueSum;
+    walk(*this, d);
 }
 
 } // namespace mesh

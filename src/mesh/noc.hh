@@ -138,6 +138,9 @@ class Noc
         return tile * 4 + static_cast<unsigned>(d);
     }
 
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     MeshConfig cfg_;
     std::vector<Cycles> linkBusy_;
     std::vector<std::uint64_t> linkBusyCycles_;

@@ -96,47 +96,10 @@ class L1Cache
     }
 
     /** Geometry fingerprint plus every way's contents. */
-    void
-    save(snap::Serializer &s) const
-    {
-        s.u32(ways_);
-        s.u64(numSets_);
-        s.u64(clock_);
-        s.vec(store_, [&s](const Way &w) {
-            s.u64(w.tag);
-            s.boolean(w.valid);
-            s.boolean(w.dirty);
-            s.u64(w.lastUse);
-            s.bytes(w.data.bytes.data(), kLineSize);
-        });
-    }
+    void save(snap::Serializer &s) const { walk(*this, s); }
 
     /** Restore into an identically sized L1. */
-    void
-    restore(snap::Deserializer &d)
-    {
-        const std::uint32_t ways = d.u32();
-        const std::uint64_t numSets = d.u64();
-        const std::uint64_t clock = d.u64();
-        if (d.ok() && (ways != ways_ || numSets != numSets_))
-            d.fail("L1 geometry mismatch");
-        std::vector<Way> store;
-        d.readVec(store, 8 + 1 + 1 + 8 + kLineSize, [&d]() {
-            Way w;
-            w.tag = d.u64();
-            w.valid = d.boolean();
-            w.dirty = d.boolean();
-            w.lastUse = d.u64();
-            d.bytes(w.data.bytes.data(), kLineSize);
-            return w;
-        });
-        if (d.ok() && store.size() != store_.size())
-            d.fail("L1 store size mismatch");
-        if (!d.ok())
-            return;
-        clock_ = clock;
-        store_ = std::move(store);
-    }
+    void restore(snap::Deserializer &d) { walk(*this, d); }
 
   private:
     struct Way
@@ -147,6 +110,24 @@ class L1Cache
         std::uint64_t lastUse = 0;
         CacheLine data{};
     };
+
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        const char *geometry = "L1 geometry mismatch";
+        io.expect(self.ways_, geometry);
+        io.expect(self.numSets_, geometry);
+        io.u64(self.clock_);
+        io.fixedVec(self.store_, 8 + 1 + 1 + 8 + kLineSize, geometry,
+                    [&](auto &w) {
+                        io.u64(w.tag);
+                        io.boolean(w.valid);
+                        io.boolean(w.dirty);
+                        io.u64(w.lastUse);
+                        io.bytes(w.data.bytes.data(), kLineSize);
+                    });
+    }
 
     std::uint64_t
     setOf(Addr addr) const

@@ -110,40 +110,25 @@ class MemoryChannel
     }
 
     /** Rate fingerprint plus occupancy and counters. */
-    void
-    save(snap::Serializer &s) const
-    {
-        s.f64(cyclesPerByte_);
-        s.u64(accessCycles_);
-        s.u64(busyUntil_);
-        s.u64(reads_);
-        s.u64(writes_);
-        s.u64(bytes_);
-    }
+    void save(snap::Serializer &s) const { walk(*this, s); }
 
     /** Restore into a channel built with the same bandwidth/latency. */
-    void
-    restore(snap::Deserializer &d)
-    {
-        const double cyclesPerByte = d.f64();
-        const std::uint64_t accessCycles = d.u64();
-        const Cycles busyUntil = d.u64();
-        const std::uint64_t reads = d.u64();
-        const std::uint64_t writes = d.u64();
-        const std::uint64_t bytes = d.u64();
-        if (d.ok() && (cyclesPerByte != cyclesPerByte_ ||
-                       accessCycles != accessCycles_)) {
-            d.fail("memory channel timing mismatch");
-        }
-        if (!d.ok())
-            return;
-        busyUntil_ = busyUntil;
-        reads_ = reads;
-        writes_ = writes;
-        bytes_ = bytes;
-    }
+    void restore(snap::Deserializer &d) { walk(*this, d); }
 
   private:
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        const char *timing = "memory channel timing mismatch";
+        io.expect(self.cyclesPerByte_, timing);
+        io.expect(self.accessCycles_, timing);
+        io.u64(self.busyUntil_);
+        io.u64(self.reads_);
+        io.u64(self.writes_);
+        io.u64(self.bytes_);
+    }
+
     /** FCFS-claim the channel for one transfer; returns the queueing
      *  delay. Shared by reads and writes so their occupancy can never
      *  drift apart. */

@@ -7,7 +7,6 @@
 
 #include "check/check.hh"
 #include "core/morc.hh"
-#include "util/sorted_view.hh"
 
 namespace morc {
 namespace sim {
@@ -503,259 +502,122 @@ System::measure(std::uint64_t instructions_per_core)
     return out;
 }
 
+template <typename Self, typename IO>
+void
+System::walk(Self &self, IO &io)
+{
+    io.section("SYSS", [&] {
+        // Structural fingerprint: restore refuses a snapshot taken under
+        // any other configuration, because component state would
+        // silently mean something different.
+        io.section("SCFG", [&] {
+            const SystemConfig &cfg = self.cfg_;
+            const char *config = "system configuration mismatch";
+            io.expect(static_cast<std::uint8_t>(cfg.scheme), config);
+            io.expect(cfg.numCores, config);
+            io.expect(cfg.llcBytesPerCore, config);
+            io.expect(cfg.bandwidthPerCore, config);
+            io.expect(cfg.clockHz, config);
+            io.expect(cfg.l1Bytes, config);
+            io.expect(cfg.l1Ways, config);
+            io.expect(cfg.l1Latency, config);
+            io.expect(cfg.llcLatency, config);
+            io.expect(cfg.dramCycles, config);
+            io.expect(cfg.threadsPerCore, config);
+            io.expect(cfg.interleaveQuantum, config);
+            io.expect(cfg.inclusiveWriteFills, config);
+            io.expect(cfg.ratioSampleInterval, config);
+            io.expect(cfg.checkFunctional, config);
+            io.expect(cfg.useMorcOverride, config);
+            io.expect(cfg.useMesh, config);
+            io.expect(cfg.meshCfg.width, config);
+            io.expect(cfg.meshCfg.height, config);
+            io.expect(cfg.meshCfg.memControllers, config);
+            io.expect(cfg.telemetryEpoch, config);
+            io.expect(static_cast<std::uint64_t>(cfg.telemetryMaxSamples),
+                      config);
+            io.expect(cfg.traceEvents, config);
+            io.expect(static_cast<std::uint64_t>(cfg.traceCapacity),
+                      config);
+            io.expect(cfg.decompressedBytesHistogram != nullptr, config);
+            io.expect(cfg.hitLatencyHistogram != nullptr, config);
+            io.fixedVec(self.cores_, 8, "core count mismatch",
+                        [&](auto &c) {
+                            io.expect(c.result.program,
+                                      "workload mismatch");
+                        });
+        });
+
+        io.section("SYS ", [&] {
+            io.u64(self.totalInstructions_);
+            io.part(self.ratioSampler_);
+            io.boolean(self.warmed_);
+            stats::Histogram::walk(self.warmupDecompBytes_, io, true);
+            stats::Histogram::walk(self.warmupHitLatency_, io, true);
+            // Caller-owned histogram contents travel with the snapshot
+            // so a warm restore hands the warm distribution back to the
+            // caller.
+            if (self.cfg_.decompressedBytesHistogram)
+                io.part(*self.cfg_.decompressedBytesHistogram);
+            if (self.cfg_.hitLatencyHistogram)
+                io.part(*self.cfg_.hitLatencyHistogram);
+        });
+
+        for (auto &c : self.cores_) {
+            io.section("CORE", [&] {
+                io.expect(c.result.program, "core program mismatch");
+                io.u64(c.result.instructions);
+                io.u64(c.result.cycles);
+                io.u64(c.result.l1Accesses);
+                io.u64(c.result.l1Misses);
+                io.u64(c.result.llcHits);
+                io.u64(c.result.llcMisses);
+                io.u64(c.result.stallCycles);
+                io.f64(c.gapSum);
+                io.u64(c.lastMissCycle);
+                io.sortedMap(c.versions, 8 + 4,
+                             [&](auto &line, auto &version) {
+                                 io.u64(line);
+                                 io.u32(version);
+                             });
+                io.part(c.l1);
+                io.part(*c.trace);
+            });
+        }
+
+        io.section("DRAM", [&] {
+            io.sortedMap(self.dram_, 8 + kLineSize,
+                         [&](auto &line, auto &data) {
+                             io.u64(line);
+                             io.bytes(data.bytes.data(), kLineSize);
+                         });
+        });
+
+        io.part(*self.llc_);
+        if (self.noc_) {
+            io.part(*self.noc_);
+            for (auto &ch : self.channels_)
+                io.part(ch);
+        } else {
+            io.part(self.channel_);
+        }
+        if (self.telemetry_)
+            io.part(*self.telemetry_);
+        if (self.tracer_)
+            io.part(*self.tracer_);
+    });
+}
+
 void
 System::saveState(snap::Serializer &s) const
 {
-    s.beginSection("SYSS");
-
-    // Structural fingerprint: restore refuses a snapshot taken under
-    // any other configuration, because component state would silently
-    // mean something different.
-    s.beginSection("SCFG");
-    s.u8(static_cast<std::uint8_t>(cfg_.scheme));
-    s.u32(cfg_.numCores);
-    s.u64(cfg_.llcBytesPerCore);
-    s.f64(cfg_.bandwidthPerCore);
-    s.f64(cfg_.clockHz);
-    s.u64(cfg_.l1Bytes);
-    s.u32(cfg_.l1Ways);
-    s.u64(cfg_.l1Latency);
-    s.u64(cfg_.llcLatency);
-    s.u64(cfg_.dramCycles);
-    s.u32(cfg_.threadsPerCore);
-    s.u32(cfg_.interleaveQuantum);
-    s.boolean(cfg_.inclusiveWriteFills);
-    s.u64(cfg_.ratioSampleInterval);
-    s.boolean(cfg_.checkFunctional);
-    s.boolean(cfg_.useMorcOverride);
-    s.boolean(cfg_.useMesh);
-    s.u32(cfg_.meshCfg.width);
-    s.u32(cfg_.meshCfg.height);
-    s.u32(cfg_.meshCfg.memControllers);
-    s.u64(cfg_.telemetryEpoch);
-    s.u64(cfg_.telemetryMaxSamples);
-    s.boolean(cfg_.traceEvents);
-    s.u64(cfg_.traceCapacity);
-    s.boolean(cfg_.decompressedBytesHistogram != nullptr);
-    s.boolean(cfg_.hitLatencyHistogram != nullptr);
-    s.vec(cores_, [&s](const Core &c) { s.str(c.result.program); });
-    s.endSection();
-
-    s.beginSection("SYS ");
-    s.u64(totalInstructions_);
-    ratioSampler_.save(s);
-    s.boolean(warmed_);
-    warmupDecompBytes_.save(s);
-    warmupHitLatency_.save(s);
-    // Caller-owned histogram contents travel with the snapshot so a
-    // warm restore hands the warm distribution back to the caller.
-    if (cfg_.decompressedBytesHistogram)
-        cfg_.decompressedBytesHistogram->save(s);
-    if (cfg_.hitLatencyHistogram)
-        cfg_.hitLatencyHistogram->save(s);
-    s.endSection();
-
-    for (const Core &c : cores_) {
-        s.beginSection("CORE");
-        s.str(c.result.program);
-        s.u64(c.result.instructions);
-        s.u64(c.result.cycles);
-        s.u64(c.result.l1Accesses);
-        s.u64(c.result.l1Misses);
-        s.u64(c.result.llcHits);
-        s.u64(c.result.llcMisses);
-        s.u64(c.result.stallCycles);
-        s.f64(c.gapSum);
-        s.u64(c.lastMissCycle);
-        const auto vers = util::sortedView(c.versions);
-        s.u64(vers.size());
-        for (const auto *kv : vers) {
-            s.u64(kv->first);
-            s.u32(kv->second);
-        }
-        c.l1.save(s);
-        c.trace->save(s);
-        s.endSection();
-    }
-
-    s.beginSection("DRAM");
-    const auto lines = util::sortedView(dram_);
-    s.u64(lines.size());
-    for (const auto *kv : lines) {
-        s.u64(kv->first);
-        s.bytes(kv->second.bytes.data(), kLineSize);
-    }
-    s.endSection();
-
-    llc_->saveState(s);
-    if (noc_) {
-        noc_->saveState(s);
-        for (const MemoryChannel &ch : channels_)
-            ch.save(s);
-    } else {
-        channel_.save(s);
-    }
-    if (telemetry_)
-        telemetry_->saveState(s);
-    if (tracer_)
-        tracer_->saveState(s);
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 System::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("SYSS"))
-        return;
-
-    if (!d.beginSection("SCFG")) {
-        d.endSection();
-        return;
-    }
-    const std::uint8_t scheme = d.u8();
-    const std::uint32_t numCores = d.u32();
-    const std::uint64_t llcBytesPerCore = d.u64();
-    const double bandwidthPerCore = d.f64();
-    const double clockHz = d.f64();
-    const std::uint64_t l1Bytes = d.u64();
-    const std::uint32_t l1Ways = d.u32();
-    const std::uint64_t l1Latency = d.u64();
-    const std::uint64_t llcLatency = d.u64();
-    const std::uint64_t dramCycles = d.u64();
-    const std::uint32_t threadsPerCore = d.u32();
-    const std::uint32_t interleaveQuantum = d.u32();
-    const bool inclusiveWriteFills = d.boolean();
-    const std::uint64_t ratioSampleInterval = d.u64();
-    const bool checkFunctional = d.boolean();
-    const bool useMorcOverride = d.boolean();
-    const bool useMesh = d.boolean();
-    const std::uint32_t meshWidth = d.u32();
-    const std::uint32_t meshHeight = d.u32();
-    const std::uint32_t memControllers = d.u32();
-    const std::uint64_t telemetryEpoch = d.u64();
-    const std::uint64_t telemetryMaxSamples = d.u64();
-    const bool traceEvents = d.boolean();
-    const std::uint64_t traceCapacity = d.u64();
-    const bool hasDecompHist = d.boolean();
-    const bool hasLatencyHist = d.boolean();
-    std::vector<std::string> programs;
-    d.readVec(programs, 8, [&d]() { return d.str(); });
-    if (d.ok()) {
-        const bool match =
-            scheme == static_cast<std::uint8_t>(cfg_.scheme) &&
-            numCores == cfg_.numCores &&
-            llcBytesPerCore == cfg_.llcBytesPerCore &&
-            bandwidthPerCore == cfg_.bandwidthPerCore &&
-            clockHz == cfg_.clockHz && l1Bytes == cfg_.l1Bytes &&
-            l1Ways == cfg_.l1Ways && l1Latency == cfg_.l1Latency &&
-            llcLatency == cfg_.llcLatency &&
-            dramCycles == cfg_.dramCycles &&
-            threadsPerCore == cfg_.threadsPerCore &&
-            interleaveQuantum == cfg_.interleaveQuantum &&
-            inclusiveWriteFills == cfg_.inclusiveWriteFills &&
-            ratioSampleInterval == cfg_.ratioSampleInterval &&
-            checkFunctional == cfg_.checkFunctional &&
-            useMorcOverride == cfg_.useMorcOverride &&
-            useMesh == cfg_.useMesh &&
-            meshWidth == cfg_.meshCfg.width &&
-            meshHeight == cfg_.meshCfg.height &&
-            memControllers == cfg_.meshCfg.memControllers &&
-            telemetryEpoch == cfg_.telemetryEpoch &&
-            telemetryMaxSamples == cfg_.telemetryMaxSamples &&
-            traceEvents == cfg_.traceEvents &&
-            traceCapacity == cfg_.traceCapacity &&
-            hasDecompHist ==
-                (cfg_.decompressedBytesHistogram != nullptr) &&
-            hasLatencyHist == (cfg_.hitLatencyHistogram != nullptr);
-        if (!match)
-            d.fail("system configuration mismatch");
-        if (d.ok() && programs.size() == cores_.size()) {
-            for (std::size_t i = 0; i < programs.size(); i++) {
-                if (programs[i] != cores_[i].result.program) {
-                    d.fail("workload mismatch on core " +
-                           std::to_string(i) + " (snapshot has '" +
-                           programs[i] + "', system runs '" +
-                           cores_[i].result.program + "')");
-                    break;
-                }
-            }
-        } else if (d.ok()) {
-            d.fail("core count mismatch");
-        }
-    }
-    d.endSection();
-
-    if (!d.beginSection("SYS ")) {
-        d.endSection();
-        return;
-    }
-    totalInstructions_ = d.u64();
-    ratioSampler_.restore(d);
-    warmed_ = d.boolean();
-    warmupDecompBytes_ = stats::Histogram::load(d);
-    warmupHitLatency_ = stats::Histogram::load(d);
-    if (cfg_.decompressedBytesHistogram)
-        cfg_.decompressedBytesHistogram->restore(d);
-    if (cfg_.hitLatencyHistogram)
-        cfg_.hitLatencyHistogram->restore(d);
-    d.endSection();
-
-    for (auto &core : cores_) {
-        if (!d.ok())
-            break;
-        if (!d.beginSection("CORE"))
-            break;
-        const std::string program = d.str();
-        if (d.ok() && program != core.result.program)
-            d.fail("core program mismatch");
-        core.result.instructions = d.u64();
-        core.result.cycles = d.u64();
-        core.result.l1Accesses = d.u64();
-        core.result.l1Misses = d.u64();
-        core.result.llcHits = d.u64();
-        core.result.llcMisses = d.u64();
-        core.result.stallCycles = d.u64();
-        core.gapSum = d.f64();
-        core.lastMissCycle = d.u64();
-        std::vector<std::pair<Addr, std::uint32_t>> vers;
-        d.readVec(vers, 8 + 4, [&d]() {
-            const Addr a = d.u64();
-            const std::uint32_t v = d.u32();
-            return std::pair<Addr, std::uint32_t>(a, v);
-        });
-        core.versions.clear();
-        core.versions.insert(vers.begin(), vers.end());
-        core.l1.restore(d);
-        core.trace->restore(d);
-        d.endSection();
-    }
-
-    if (d.beginSection("DRAM")) {
-        const std::uint64_t n = d.arrayLen(8 + kLineSize);
-        dram_.clear();
-        dram_.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n && d.ok(); i++) {
-            const Addr line = d.u64();
-            CacheLine data;
-            d.bytes(data.bytes.data(), kLineSize);
-            dram_[line] = data;
-        }
-        d.endSection();
-    }
-
-    llc_->restoreState(d);
-    if (noc_) {
-        noc_->restoreState(d);
-        for (auto &ch : channels_)
-            ch.restore(d);
-    } else {
-        channel_.restore(d);
-    }
-    if (telemetry_)
-        telemetry_->restoreState(d);
-    if (tracer_)
-        tracer_->restoreState(d);
-    d.endSection();
+    walk(*this, d);
 }
 
 bool

@@ -186,8 +186,8 @@ struct RunResult
     bool meshed = false;
     std::uint64_t nocMessages = 0;
     double nocMeanHops = 0.0;
-    stats::Histogram nocHopHist = stats::Histogram({});
-    stats::Histogram nocQueueHist = stats::Histogram({});
+    stats::Histogram nocHopHist;
+    stats::Histogram nocQueueHist;
 
     /** Epoch-sampled probe series (empty unless telemetryEpoch > 0). */
     telemetry::SeriesSet series;
@@ -255,10 +255,12 @@ class System
     void saveState(snap::Serializer &s) const;
 
     /**
-     * Restore state written by saveState() into an identically
-     * configured System. Any config mismatch or malformed byte latches
-     * into @p d; the caller must discard this instance when !d.ok()
-     * (state may be partially overwritten).
+     * Restore state written by saveState() into this identically
+     * configured System, in place: both run the same walk. Any config
+     * mismatch, out-of-range value or malformed byte latches into @p d
+     * and may leave the system (and the caller-owned histograms of its
+     * config) half-written; the caller must discard this instance when
+     * !d.ok().
      */
     void restoreState(snap::Deserializer &d);
 
@@ -292,6 +294,9 @@ class System
     {
         return lineNumber(addr & ((1ull << 40) - 1));
     }
+
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
 
     CacheLine dramFetch(unsigned core_idx, Addr addr) const;
     void dramWrite(Addr addr, const CacheLine &data);
@@ -335,8 +340,8 @@ class System
     /** Warm-up snapshots of the caller-owned histograms, subtracted at
      *  the end of the run so reported distributions cover only the
      *  measured phase. */
-    stats::Histogram warmupDecompBytes_ = stats::Histogram({});
-    stats::Histogram warmupHitLatency_ = stats::Histogram({});
+    stats::Histogram warmupDecompBytes_;
+    stats::Histogram warmupHitLatency_;
 
     void setupTelemetry();
 };

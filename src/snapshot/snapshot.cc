@@ -408,19 +408,19 @@ Deserializer::vecU8(std::vector<std::uint8_t> &v)
 void
 Deserializer::vecU32(std::vector<std::uint32_t> &v)
 {
-    readVec(v, 4, [&] { return u32(); });
+    vec(v, 4, [&](std::uint32_t &e) { u32(e); });
 }
 
 void
 Deserializer::vecU64(std::vector<std::uint64_t> &v)
 {
-    readVec(v, 8, [&] { return u64(); });
+    vec(v, 8, [&](std::uint64_t &e) { u64(e); });
 }
 
 void
 Deserializer::vecF64(std::vector<double> &v)
 {
-    readVec(v, 8, [&] { return f64(); });
+    vec(v, 8, [&](double &e) { f64(e); });
 }
 
 bool

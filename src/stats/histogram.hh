@@ -24,8 +24,9 @@ namespace stats {
 class Histogram
 {
   public:
-    /** @param upper_bounds Inclusive upper bound of each bucket. */
-    explicit Histogram(std::vector<std::uint64_t> upper_bounds)
+    /** @param upper_bounds Inclusive upper bound of each bucket (none:
+     *  a single catch-all bucket). */
+    explicit Histogram(std::vector<std::uint64_t> upper_bounds = {})
         : bounds_(std::move(upper_bounds)), counts_(bounds_.size() + 1, 0)
     {}
 
@@ -87,56 +88,33 @@ class Histogram
     }
 
     /** Append bucketing and counts to a snapshot. */
-    void
-    save(snap::Serializer &s) const
-    {
-        s.vecU64(bounds_);
-        s.vecU64(counts_);
-        s.u64(total_);
-    }
+    void save(snap::Serializer &s) const { walk(*this, s, false); }
 
     /** Restore counts from a snapshot; the serialized bucketing must
-     *  match this histogram's (bounds are structural configuration). */
-    void
-    restore(snap::Deserializer &d)
-    {
-        std::vector<std::uint64_t> bounds;
-        std::vector<std::uint64_t> counts;
-        d.vecU64(bounds);
-        d.vecU64(counts);
-        const std::uint64_t total = d.u64();
-        if (!d.ok())
-            return;
-        if (bounds != bounds_ || counts.size() != counts_.size()) {
-            d.fail("histogram bucketing mismatch (snapshot has " +
-                   std::to_string(bounds.size()) + " bounds, live has " +
-                   std::to_string(bounds_.size()) + ")");
-            return;
-        }
-        counts_ = std::move(counts);
-        total_ = total;
-    }
+     *  match this histogram's (bounds are structural configuration),
+     *  and a mismatch never resizes the live counts. */
+    void restore(snap::Deserializer &d) { walk(*this, d, false); }
 
-    /** Rebuild a histogram wholesale from a snapshot, bucketing
-     *  included (for histograms whose bounds are themselves state,
-     *  e.g. warm-up snapshots of caller-owned histograms). Returns an
-     *  empty histogram with d failed on malformed input. */
-    static Histogram
-    load(snap::Deserializer &d)
+    /**
+     * Snapshot walk (see snapshot/snapshot.hh): bounds, counts, total.
+     * @p bounds_are_state loads the bucketing too, for histograms whose
+     * bounds are themselves state (warm-up copies of caller-owned
+     * histograms, journaled records); otherwise it must match.
+     */
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io, bool bounds_are_state)
     {
-        std::vector<std::uint64_t> bounds;
-        std::vector<std::uint64_t> counts;
-        d.vecU64(bounds);
-        d.vecU64(counts);
-        const std::uint64_t total = d.u64();
-        if (d.ok() && counts.size() != bounds.size() + 1)
-            d.fail("histogram bucket count mismatch");
-        if (!d.ok())
-            return Histogram({});
-        Histogram h(std::move(bounds));
-        h.counts_ = std::move(counts);
-        h.total_ = total;
-        return h;
+        if (bounds_are_state) {
+            io.vecU64(self.bounds_);
+            if constexpr (IO::kLoading)
+                self.counts_.assign(self.bounds_.size() + 1, 0);
+        } else {
+            io.expect(self.bounds_, "histogram bucketing mismatch");
+        }
+        io.fixedVec(self.counts_, 8, "histogram bucket count mismatch",
+                    [&](auto &c) { io.u64(c); });
+        io.u64(self.total_);
     }
 
     /** Merge another histogram's counts; bucketing must match. */

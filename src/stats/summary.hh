@@ -41,25 +41,18 @@ class RunningMean
         n_ = 0;
     }
 
-    void
-    save(snap::Serializer &s) const
-    {
-        s.f64(sum_);
-        s.u64(n_);
-    }
-
-    void
-    restore(snap::Deserializer &d)
-    {
-        const double sum = d.f64();
-        const std::uint64_t n = d.u64();
-        if (!d.ok())
-            return;
-        sum_ = sum;
-        n_ = n;
-    }
+    void save(snap::Serializer &s) const { walk(*this, s); }
+    void restore(snap::Deserializer &d) { walk(*this, d); }
 
   private:
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        io.f64(self.sum_);
+        io.u64(self.n_);
+    }
+
     double sum_ = 0.0;
     std::uint64_t n_ = 0;
 };
@@ -131,30 +124,19 @@ class PeriodicSampler
 
     std::uint64_t samples() const { return mean_.count(); }
 
-    void
-    save(snap::Serializer &s) const
-    {
-        s.u64(interval_);
-        s.u64(nextSample_);
-        mean_.save(s);
-    }
-
-    void
-    restore(snap::Deserializer &d)
-    {
-        const std::uint64_t interval = d.u64();
-        const std::uint64_t next = d.u64();
-        if (d.ok() && interval != interval_) {
-            d.fail("periodic sampler interval mismatch");
-            return;
-        }
-        mean_.restore(d);
-        if (!d.ok())
-            return;
-        nextSample_ = next;
-    }
+    void save(snap::Serializer &s) const { walk(*this, s); }
+    void restore(snap::Deserializer &d) { walk(*this, d); }
 
   private:
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        io.expect(self.interval_, "periodic sampler interval mismatch");
+        io.u64(self.nextSample_);
+        io.part(self.mean_);
+    }
+
     std::uint64_t interval_;
     std::uint64_t nextSample_;
     RunningMean mean_;

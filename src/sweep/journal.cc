@@ -32,130 +32,62 @@ getU32(const std::uint8_t *p)
 
 } // namespace
 
+namespace {
+
+/** The record's one walk (see snapshot/snapshot.hh). */
+template <typename Rec, typename IO>
+void
+walkRunRecord(Rec &rec, IO &io)
+{
+    io.section("RREC", [&] {
+        io.str(rec.key);
+        io.vec(rec.labels, 8 + 8, [&](auto &kv) {
+            io.str(kv.first);
+            io.str(kv.second);
+        });
+        const auto points = [&](auto &list) {
+            io.vec(list, 8 + 8, [&](auto &kv) {
+                io.str(kv.first);
+                io.f64(kv.second);
+            });
+        };
+        points(rec.metrics);
+        io.vec(rec.histograms, 8 + 8 + 8 + 8, [&](auto &kv) {
+            io.str(kv.first);
+            stats::Histogram::walk(kv.second, io, true);
+        });
+        io.vec(rec.percentiles, 8 + 8, [&](auto &group) {
+            io.str(group.first);
+            points(group.second);
+        });
+        points(rec.lifetime);
+        io.u64(rec.series.epochCycles);
+        io.u64(rec.series.samples);
+        io.u64(rec.series.droppedEpochs);
+        io.vec(rec.series.series, 8 + 1 + 8, [&](auto &ser) {
+            telemetry::Series::walk(ser, io, true);
+        });
+        io.vec(rec.trace.tracks, 8, [&](auto &t) { io.str(t); });
+        io.vec(rec.trace.events, 8 + 1 + 2 + 8 + 8, [&](auto &e) {
+            telemetry::Event::walk(e, io, rec.trace.tracks.size());
+        });
+        io.u64(rec.trace.dropped);
+    });
+}
+
+} // namespace
+
 void
 saveRunRecord(snap::Serializer &s, const stats::RunRecord &rec)
 {
-    s.beginSection("RREC");
-    s.str(rec.key);
-    s.vec(rec.labels, [&s](const auto &kv) {
-        s.str(kv.first);
-        s.str(kv.second);
-    });
-    s.vec(rec.metrics, [&s](const auto &kv) {
-        s.str(kv.first);
-        s.f64(kv.second);
-    });
-    s.vec(rec.histograms, [&s](const auto &kv) {
-        s.str(kv.first);
-        kv.second.save(s);
-    });
-    s.vec(rec.percentiles, [&s](const auto &group) {
-        s.str(group.first);
-        s.vec(group.second, [&s](const auto &kv) {
-            s.str(kv.first);
-            s.f64(kv.second);
-        });
-    });
-    s.vec(rec.lifetime, [&s](const auto &kv) {
-        s.str(kv.first);
-        s.f64(kv.second);
-    });
-    s.u64(rec.series.epochCycles);
-    s.u64(rec.series.samples);
-    s.u64(rec.series.droppedEpochs);
-    s.vec(rec.series.series, [&s](const telemetry::Series &ser) {
-        s.str(ser.name);
-        s.u8(static_cast<std::uint8_t>(ser.kind));
-        s.vecF64(ser.values);
-    });
-    s.vec(rec.trace.tracks,
-          [&s](const std::string &t) { s.str(t); });
-    s.vec(rec.trace.events, [&s](const telemetry::Event &e) {
-        s.u64(e.cycles);
-        s.u8(static_cast<std::uint8_t>(e.kind));
-        s.u16(e.track);
-        s.u64(e.a0);
-        s.u64(e.a1);
-    });
-    s.u64(rec.trace.dropped);
-    s.endSection();
+    walkRunRecord(rec, s);
 }
 
 stats::RunRecord
 loadRunRecord(snap::Deserializer &d)
 {
     stats::RunRecord rec;
-    if (!d.beginSection("RREC"))
-        return rec;
-    rec.key = d.str();
-    d.readVec(rec.labels, 16, [&d]() {
-        std::string k = d.str();
-        std::string v = d.str();
-        return std::pair<std::string, std::string>(std::move(k),
-                                                   std::move(v));
-    });
-    d.readVec(rec.metrics, 8 + 8, [&d]() {
-        std::string k = d.str();
-        const double v = d.f64();
-        return std::pair<std::string, double>(std::move(k), v);
-    });
-    d.readVec(rec.histograms, 8 + 8 + 8 + 8, [&d]() {
-        std::string k = d.str();
-        stats::Histogram h = stats::Histogram::load(d);
-        return std::pair<std::string, stats::Histogram>(std::move(k),
-                                                        std::move(h));
-    });
-    d.readVec(rec.percentiles, 8 + 8, [&d]() {
-        std::string group = d.str();
-        std::vector<std::pair<std::string, double>> points;
-        d.readVec(points, 8 + 8, [&d]() {
-            std::string k = d.str();
-            const double v = d.f64();
-            return std::pair<std::string, double>(std::move(k), v);
-        });
-        return std::pair<std::string,
-                         std::vector<std::pair<std::string, double>>>(
-            std::move(group), std::move(points));
-    });
-    d.readVec(rec.lifetime, 8 + 8, [&d]() {
-        std::string k = d.str();
-        const double v = d.f64();
-        return std::pair<std::string, double>(std::move(k), v);
-    });
-    rec.series.epochCycles = d.u64();
-    rec.series.samples = d.u64();
-    rec.series.droppedEpochs = d.u64();
-    d.readVec(rec.series.series, 8 + 1 + 8, [&d]() {
-        telemetry::Series ser;
-        ser.name = d.str();
-        const std::uint8_t kind = d.u8();
-        if (kind > static_cast<std::uint8_t>(
-                       telemetry::ProbeKind::Counter)) {
-            d.fail("journal: bad probe kind");
-        } else {
-            ser.kind = static_cast<telemetry::ProbeKind>(kind);
-        }
-        d.vecF64(ser.values);
-        return ser;
-    });
-    d.readVec(rec.trace.tracks, 8, [&d]() { return d.str(); });
-    d.readVec(rec.trace.events, 8 + 1 + 2 + 8 + 8, [&d]() {
-        telemetry::Event e;
-        e.cycles = d.u64();
-        const std::uint8_t kind = d.u8();
-        if (kind > static_cast<std::uint8_t>(
-                       telemetry::EventKind::NocStall)) {
-            d.fail("journal: bad event kind");
-        } else {
-            e.kind = static_cast<telemetry::EventKind>(kind);
-        }
-        e.track = d.u16();
-        e.a0 = d.u64();
-        e.a1 = d.u64();
-        return e;
-    });
-    rec.trace.dropped = d.u64();
-    d.endSection();
+    walkRunRecord(rec, d);
     return rec;
 }
 

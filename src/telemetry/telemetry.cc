@@ -62,63 +62,35 @@ Registry::restart()
     nextBoundary_ = epochCycles_;
 }
 
+template <typename Self, typename IO>
+void
+Registry::walk(Self &self, IO &io)
+{
+    io.section("TLMR", [&] {
+        const char *shape = "telemetry registry shape mismatch (epoch/"
+                            "capacity/probe count differ from the live "
+                            "configuration)";
+        io.expect(self.epochCycles_, shape);
+        io.expect(static_cast<std::uint64_t>(self.maxSamples_), shape);
+        io.u64(self.nextBoundary_);
+        io.u64(self.samples_);
+        io.u64(self.droppedEpochs_);
+        io.fixedVec(self.probes_, 1, shape, [&](auto &p) {
+            Series::walk(p.series, io, false);
+        });
+    });
+}
+
 void
 Registry::saveState(snap::Serializer &s) const
 {
-    s.beginSection("TLMR");
-    s.u64(epochCycles_);
-    s.u64(maxSamples_);
-    s.u64(nextBoundary_);
-    s.u64(samples_);
-    s.u64(droppedEpochs_);
-    s.vec(probes_, [&](const Probe &p) {
-        s.str(p.series.name);
-        s.u8(static_cast<std::uint8_t>(p.series.kind));
-        s.vecF64(p.series.values);
-    });
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 Registry::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("TLMR"))
-        return;
-    const std::uint64_t epoch = d.u64();
-    const std::uint64_t maxSamples = d.u64();
-    const std::uint64_t nextBoundary = d.u64();
-    const std::uint64_t samples = d.u64();
-    const std::uint64_t dropped = d.u64();
-    const std::uint64_t n = d.arrayLen(1);
-    if (d.ok() &&
-        (epoch != epochCycles_ || maxSamples != maxSamples_ ||
-         n != probes_.size())) {
-        d.fail("telemetry registry shape mismatch (epoch/capacity/"
-               "probe count differ from the live configuration)");
-    }
-    for (std::uint64_t i = 0; i < n && d.ok(); i++) {
-        const std::string name = d.str();
-        const std::uint8_t kind = d.u8();
-        std::vector<double> values;
-        d.vecF64(values);
-        if (!d.ok())
-            break;
-        Probe &p = probes_[static_cast<std::size_t>(i)];
-        if (name != p.series.name ||
-            kind != static_cast<std::uint8_t>(p.series.kind)) {
-            d.fail("telemetry probe mismatch at index " +
-                   std::to_string(i) + " ('" + name + "' vs live '" +
-                   p.series.name + "')");
-            break;
-        }
-        p.series.values = std::move(values);
-    }
-    d.endSection();
-    if (!d.ok())
-        return;
-    nextBoundary_ = nextBoundary;
-    samples_ = samples;
-    droppedEpochs_ = dropped;
+    walk(*this, d);
 }
 
 SeriesSet

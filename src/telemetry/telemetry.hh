@@ -54,6 +54,27 @@ struct Series
     std::string name;
     ProbeKind kind = ProbeKind::Gauge;
     std::vector<double> values; // one entry per sampled epoch
+
+    /** Snapshot walk (see snapshot/snapshot.hh). @p shape_is_state
+     *  loads name and kind (a journaled record) instead of checking
+     *  them against a live probe's. */
+    template <typename Self, typename IO>
+    static void
+    walk(Self &s, IO &io, bool shape_is_state)
+    {
+        if (shape_is_state) {
+            io.str(s.name);
+            io.u8(s.kind,
+                  static_cast<std::uint64_t>(ProbeKind::Counter) + 1,
+                  "bad probe kind");
+        } else {
+            const char *probe = "telemetry probe mismatch (name or kind "
+                                "differs from the live probe)";
+            io.expect(s.name, probe);
+            io.expect(static_cast<std::uint8_t>(s.kind), probe);
+        }
+        io.vecF64(s.values);
+    }
 };
 
 /** Snapshot of every series a Registry sampled. */
@@ -139,6 +160,9 @@ class Registry
         Series series;
         ReadFn read;
     };
+
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
 
     void add(const std::string &name, ProbeKind kind, ReadFn read);
 

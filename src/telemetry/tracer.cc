@@ -94,68 +94,41 @@ Tracer::clear()
     dropped_ = 0;
 }
 
+template <typename Self, typename IO>
+void
+Tracer::walk(Self &self, IO &io)
+{
+    io.section("TLMT", [&] {
+        const char *shape = "tracer shape mismatch (capacity or "
+                            "registered tracks differ from the live "
+                            "configuration)";
+        io.expect(static_cast<std::uint64_t>(self.capacity_), shape);
+        io.u64(self.head_);
+        io.u64(self.recorded_);
+        io.u64(self.dropped_);
+        io.u64(self.now_);
+        io.expect(self.tracks_, shape);
+        io.vec(self.ring_, 8 + 1 + 2 + 8 + 8, [&](auto &e) {
+            Event::walk(e, io, self.tracks_.size());
+        });
+        io.check(self.ring_.size() <= self.capacity_ &&
+                     self.head_ < (self.ring_.size() == self.capacity_
+                                       ? self.capacity_
+                                       : 1),
+                 "tracer ring/head out of range");
+    });
+}
+
 void
 Tracer::saveState(snap::Serializer &s) const
 {
-    s.beginSection("TLMT");
-    s.u64(capacity_);
-    s.u64(head_);
-    s.u64(recorded_);
-    s.u64(dropped_);
-    s.u64(now_);
-    s.vec(tracks_, [&](const std::string &t) { s.str(t); });
-    s.vec(ring_, [&](const Event &e) {
-        s.u64(e.cycles);
-        s.u8(static_cast<std::uint8_t>(e.kind));
-        s.u16(e.track);
-        s.u64(e.a0);
-        s.u64(e.a1);
-    });
-    s.endSection();
+    walk(*this, s);
 }
 
 void
 Tracer::restoreState(snap::Deserializer &d)
 {
-    if (!d.beginSection("TLMT"))
-        return;
-    const std::uint64_t capacity = d.u64();
-    const std::uint64_t head = d.u64();
-    const std::uint64_t recorded = d.u64();
-    const std::uint64_t dropped = d.u64();
-    const std::uint64_t now = d.u64();
-    std::vector<std::string> tracks;
-    d.readVec(tracks, 8, [&] { return d.str(); });
-    if (d.ok() && (capacity != capacity_ || tracks != tracks_)) {
-        d.fail("tracer shape mismatch (capacity or registered tracks "
-               "differ from the live configuration)");
-    }
-    std::vector<Event> ring;
-    d.readVec(ring, 8 + 1 + 2 + 8 + 8, [&] {
-        Event e;
-        e.cycles = d.u64();
-        e.kind = static_cast<EventKind>(d.u8());
-        e.track = d.u16();
-        e.a0 = d.u64();
-        e.a1 = d.u64();
-        if (d.ok() && (e.kind > EventKind::NocStall ||
-                       e.track >= tracks_.size())) {
-            d.fail("trace event with out-of-range kind or track");
-        }
-        return e;
-    });
-    if (d.ok() && (ring.size() > capacity_ ||
-                   head >= (ring.size() == capacity_ ? capacity_ : 1))) {
-        d.fail("tracer ring/head out of range");
-    }
-    d.endSection();
-    if (!d.ok())
-        return;
-    ring_ = std::move(ring);
-    head_ = static_cast<std::size_t>(head);
-    recorded_ = recorded;
-    dropped_ = dropped;
-    now_ = now;
+    walk(*this, d);
 }
 
 TraceBuffer

@@ -53,6 +53,20 @@ struct Event
     std::uint16_t track = 0;
     std::uint64_t a0 = 0;
     std::uint64_t a1 = 0;
+
+    /** Snapshot walk (see snapshot/snapshot.hh); on load the kind must
+     *  be known and the track one of @p num_tracks. */
+    template <typename Self, typename IO>
+    static void
+    walk(Self &e, IO &io, std::uint64_t num_tracks)
+    {
+        io.u64(e.cycles);
+        io.u8(e.kind, static_cast<std::uint64_t>(EventKind::NocStall) + 1,
+              "trace event kind out of range");
+        io.u16(e.track, num_tracks, "trace event track out of range");
+        io.u64(e.a0);
+        io.u64(e.a1);
+    }
 };
 
 /** Snapshot of a Tracer: tracks + events oldest-first. */
@@ -121,6 +135,9 @@ class Tracer
     void restoreState(snap::Deserializer &d);
 
   private:
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     void push(const Event &e);
 
     std::size_t capacity_;

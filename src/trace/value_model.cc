@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/sorted_view.hh"
 
 namespace morc {
 namespace trace {
@@ -343,54 +342,43 @@ KvValueModel::line(std::uint64_t key, std::uint32_t line_idx,
     return l;
 }
 
+template <typename Self, typename IO>
 void
-KvValueModel::save(snap::Serializer &s) const
+KvValueModel::walk(Self &self, IO &io)
 {
     // Redundancy knobs first: the version map is meaningless against a
     // differently shaped corpus, so the knobs travel with the state.
-    s.u64(profile_.seed);
-    s.f64(profile_.jsonFrac);
-    s.f64(profile_.counterFrac);
-    s.u32(profile_.jsonLines);
-    s.u32(profile_.counterLines);
-    s.u32(profile_.blobLines);
-    s.u32(profile_.tokenPoolSize);
-    s.f64(profile_.tokenTheta);
-    s.f64(profile_.setChurn);
-    s.u64(versions_.size());
-    for (const auto *kv : util::sortedView(versions_)) {
-        s.u64(kv->first);
-        s.u32(kv->second);
-    }
+    auto &p = self.profile_;
+    io.u64(p.seed);
+    io.f64(p.jsonFrac);
+    io.f64(p.counterFrac);
+    io.u32(p.jsonLines);
+    io.u32(p.counterLines);
+    io.u32(p.blobLines);
+    io.u32(p.tokenPoolSize);
+    io.f64(p.tokenTheta);
+    io.f64(p.setChurn);
+    io.sortedMap(self.versions_, 8 + 4, [&](auto &key, auto &version) {
+        io.u64(key);
+        io.u32(version);
+    });
+}
+
+void
+KvValueModel::save(snap::Serializer &s) const
+{
+    walk(*this, s);
 }
 
 void
 KvValueModel::restore(snap::Deserializer &d)
 {
-    KvProfile p;
-    p.seed = d.u64();
-    p.jsonFrac = d.f64();
-    p.counterFrac = d.f64();
-    p.jsonLines = d.u32();
-    p.counterLines = d.u32();
-    p.blobLines = d.u32();
-    p.tokenPoolSize = d.u32();
-    p.tokenTheta = d.f64();
-    p.setChurn = d.f64();
-    const std::uint64_t n = d.arrayLen(12);
-    std::unordered_map<std::uint64_t, std::uint32_t> versions;
-    versions.reserve(n);
-    for (std::uint64_t i = 0; i < n; i++) {
-        const std::uint64_t key = d.u64();
-        versions[key] = d.u32();
-    }
+    walk(*this, d);
     if (!d.ok())
         return;
-    profile_ = p;
     tokenPool_ = ZipfSampler(
         std::max<std::uint32_t>(profile_.tokenPoolSize, 1),
         profile_.tokenTheta);
-    versions_ = std::move(versions);
 }
 
 } // namespace trace

@@ -113,6 +113,9 @@ class ValueModel
     const DataProfile &profile() const { return profile_; }
 
   private:
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     /** Map a hash to [0,1). */
     static double
     unit(std::uint64_t h)
@@ -235,6 +238,9 @@ class KvValueModel
     void restore(snap::Deserializer &d);
 
   private:
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
     /** Map a hash to [0,1). */
     static double
     unit(std::uint64_t h)

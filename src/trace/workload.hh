@@ -127,45 +127,10 @@ class ThreadTrace
     /** Generator cursor: stream position, burst walks, RNG state.
      *  The spec, pools and value model are configuration — a restored
      *  trace must be built from the same BenchmarkSpec. */
-    void
-    save(snap::Serializer &s) const
-    {
-        s.u32(threadId_);
-        s.u64(seqPos_);
-        for (const Burst *b : {&hotBurst_, &coldBurst_}) {
-            s.u64(b->page);
-            s.u64(b->pos);
-            s.u32(b->left);
-        }
-        for (unsigned i = 0; i < 4; i++)
-            s.u64(rng_.stateWord(i));
-    }
+    void save(snap::Serializer &s) const { walk(*this, s); }
 
     /** Restore the cursor written by save(). */
-    void
-    restore(snap::Deserializer &d)
-    {
-        const std::uint32_t tid = d.u32();
-        if (d.ok() && tid != threadId_)
-            d.fail("trace thread id mismatch");
-        const std::uint64_t seqPos = d.u64();
-        Burst bursts[2];
-        for (Burst &b : bursts) {
-            b.page = d.u64();
-            b.pos = d.u64();
-            b.left = d.u32();
-        }
-        std::uint64_t words[4];
-        for (std::uint64_t &w : words)
-            w = d.u64();
-        if (!d.ok())
-            return;
-        seqPos_ = seqPos;
-        hotBurst_ = bursts[0];
-        coldBurst_ = bursts[1];
-        for (unsigned i = 0; i < 4; i++)
-            rng_.setStateWord(i, words[i]);
-    }
+    void restore(snap::Deserializer &d) { walk(*this, d); }
 
   private:
     BenchmarkSpec spec_; // morc-analyze: allow(snapshot-completeness) construction-time config; restore() re-binds
@@ -187,6 +152,20 @@ class ThreadTrace
     Burst hotBurst_;
     Burst coldBurst_;
     Rng rng_;
+
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        io.expect(self.threadId_, "trace thread id mismatch");
+        io.u64(self.seqPos_);
+        for (auto *b : {&self.hotBurst_, &self.coldBurst_}) {
+            io.u64(b->page);
+            io.u64(b->pos);
+            io.u32(b->left);
+        }
+        Rng::walk(self.rng_, io);
+    }
 };
 
 // ----------------------------------------------------------------------

@@ -67,20 +67,22 @@ class BitWriter
     }
 
     /**
-     * Replace the stream with previously captured contents (snapshot
-     * restore). Callers deserializing external data must validate
-     * @p bit_count against the word count before calling.
+     * Snapshot walk (see snapshot/snapshot.hh) of the bit count and the
+     * words, in the order the owning layout fixed. On load the count
+     * must fit the words exactly.
      */
-    void
-    restore(std::vector<std::uint64_t> words, std::uint64_t bit_count)
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io, bool count_first)
     {
-        MORC_CHECK(bit_count <= words.size() * 64 &&
-                       bit_count + 63 >= words.size() * 64,
-                   "restored bit count %llu does not fit %zu words",
-                   static_cast<unsigned long long>(bit_count),
-                   words.size());
-        words_ = std::move(words);
-        bitCount_ = bit_count;
+        if (count_first)
+            io.u64(self.bitCount_);
+        io.vecU64(self.words_);
+        if (!count_first)
+            io.u64(self.bitCount_);
+        io.check(self.bitCount_ <= self.words_.size() * 64 &&
+                     self.bitCount_ + 63 >= self.words_.size() * 64,
+                 "bit stream count does not fit its words");
     }
 
   private:

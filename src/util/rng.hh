@@ -106,11 +106,15 @@ class Rng
         return g < 0 ? 0 : static_cast<std::uint64_t>(g);
     }
 
-    /** Raw state word @p i (0..3), for snapshot serialization. */
-    std::uint64_t stateWord(unsigned i) const { return state_[i & 3]; }
-
-    /** Overwrite state word @p i (0..3) when restoring a snapshot. */
-    void setStateWord(unsigned i, std::uint64_t v) { state_[i & 3] = v; }
+    /** Snapshot walk (see snapshot/snapshot.hh): the four state
+     *  words. */
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        for (auto &word : self.state_)
+            io.u64(word);
+    }
 
   private:
     static std::uint64_t

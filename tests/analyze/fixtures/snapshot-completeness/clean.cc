@@ -25,3 +25,25 @@ struct Plain
 {
     int untracked_ = 0;
 };
+
+// A walk-spelled component whose out-of-line walk names every member
+// must not fire, even though save and restore only forward to it.
+struct Walked
+{
+    void save(Serializer &s) const;
+    void restore(Deserializer &d);
+
+    template <typename Self, typename IO>
+    static void walk(Self &self, IO &io);
+
+    unsigned long clock_ = 0;
+    bool open_ = false;
+};
+
+template <typename Self, typename IO>
+void
+Walked::walk(Self &self, IO &io)
+{
+    io.u64(self.clock_);
+    io.boolean(self.open_);
+}

@@ -43,3 +43,21 @@ struct SuperBlock
     bool valid_ = false;
     BitWriter sigStream_;
 };
+
+// A walk-spelled component: save and restore both run one walk, so the
+// walk is the whole layout list and a member missing from it must fire.
+struct Walked
+{
+    void save(Serializer &s) const { walk(*this, s); }
+    void restore(Deserializer &d) { walk(*this, d); }
+
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        io.u64(self.clock_);
+    }
+
+    unsigned long clock_ = 0;
+    unsigned long dropped_ = 0;
+};

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests for the baseline LLC models: uncompressed, Adaptive, Decoupled,
- * SC2, and the Figure 2 oracle caches.
+ * SC2, and the Figure 2 oracle caches, including restores that must
+ * reject hostile snapshots an insert would crash on.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "cache/adaptive.hh"
 #include "cache/decoupled.hh"
@@ -16,6 +18,7 @@
 #include "cache/sc2.hh"
 #include "cache/touche.hh"
 #include "cache/uncompressed.hh"
+#include "snapshot/snapshot.hh"
 #include "util/rng.hh"
 
 namespace morc {
@@ -301,6 +304,160 @@ TEST(Ideal, RandomDataBarelyCompresses)
     for (Addr a = 0; a < 10000; a++)
         intra.insert(a << kLineShift, patternLine(rng.next()), false);
     EXPECT_LT(intra.compressionRatio(), 1.3);
+}
+
+// ------------------------------------------------- hostile snapshots
+//
+// Snapshots written by hand in the real layout for one-set caches. The
+// untouched variant is byte for byte a fresh cache's saveState(), so
+// each hostile one differs from real bytes only where it means to.
+
+/** Counters, then a wear tracker of @p sets x @p ways, all zero. */
+void
+writeZeroStatsAndWear(snap::Serializer &s, std::uint64_t sets,
+                      std::uint64_t ways)
+{
+    LlcStats{}.save(s);
+    s.beginSection("WEAR");
+    s.u64(sets);
+    s.u64(ways);
+    s.vecU64(std::vector<std::uint64_t>(sets * ways));
+    s.vecU64(std::vector<std::uint64_t>(sets));
+    for (int i = 0; i < 3; i++)
+        s.u64(0);
+    s.endSection();
+}
+
+template <typename Cache>
+std::vector<std::uint8_t>
+freshFrame(const typename Cache::Config &cfg)
+{
+    Cache c(cfg);
+    snap::Serializer s;
+    c.saveState(s);
+    return s.frame();
+}
+
+template <typename Cache>
+bool
+restores(const typename Cache::Config &cfg,
+         const std::vector<std::uint8_t> &frame)
+{
+    Cache c(cfg);
+    snap::Deserializer d(frame);
+    c.restoreState(d);
+    return d.ok();
+}
+
+/** ADPT section of a one-set Adaptive cache whose set holds one shadow
+ *  tag claiming @p shadow_segments segments (none: an empty set). */
+std::vector<std::uint8_t>
+adaptiveFrame(const AdaptiveCache::Config &cfg, int shadow_segments)
+{
+    snap::Serializer s;
+    s.beginSection("ADPT");
+    s.u64(cfg.capacityBytes);
+    s.u32(cfg.ways);
+    s.u32(cfg.tagFactor);
+    s.u32(cfg.segmentBytes);
+    s.u64(0); // clock
+    s.u64(0); // valid count
+    s.i64(0); // predictor
+    writeZeroStatsAndWear(s, 1, 1);
+    s.u64(1); // sets
+    s.u64(shadow_segments < 0 ? 0 : 1);
+    if (shadow_segments >= 0) {
+        const CacheLine zero{};
+        s.u64(7);         // tag
+        s.boolean(false); // hasData: a shadow tag
+        s.boolean(false); // dirty
+        s.boolean(false); // compressed
+        s.u32(static_cast<std::uint32_t>(shadow_segments));
+        s.u64(0); // lastUse
+        s.bytes(zero.bytes.data(), kLineSize);
+    }
+    s.endSection();
+    return s.frame();
+}
+
+AdaptiveCache::Config
+oneSetAdaptive()
+{
+    AdaptiveCache::Config cfg;
+    cfg.capacityBytes = 8 * kLineSize;
+    return cfg;
+}
+
+TEST(Adaptive, HandWrittenSnapshotMatchesFreshSave)
+{
+    const AdaptiveCache::Config cfg = oneSetAdaptive();
+    EXPECT_EQ(adaptiveFrame(cfg, -1), freshFrame<AdaptiveCache>(cfg));
+    EXPECT_TRUE(restores<AdaptiveCache>(cfg, adaptiveFrame(cfg, 0)));
+}
+
+TEST(Adaptive, RestoreRejectsShadowTagHoldingSegments)
+{
+    // A shadow tag claiming the whole 64-segment budget leaves the next
+    // insert no data line to demote: evictUntilFits finds no victim.
+    const AdaptiveCache::Config cfg = oneSetAdaptive();
+    EXPECT_FALSE(restores<AdaptiveCache>(cfg, adaptiveFrame(cfg, 64)));
+}
+
+/** DECP section of a one-set Decoupled cache whose set holds
+ *  @p blocks (empty) super-blocks. */
+std::vector<std::uint8_t>
+decoupledFrame(const DecoupledCache::Config &cfg, unsigned blocks)
+{
+    const CacheLine zero{};
+    snap::Serializer s;
+    s.beginSection("DECP");
+    s.u64(cfg.capacityBytes);
+    s.u32(cfg.ways);
+    s.u32(cfg.linesPerSuperBlock);
+    s.u32(cfg.segmentBytes);
+    s.u64(0); // clock
+    s.u64(0); // valid count
+    writeZeroStatsAndWear(s, 1, cfg.ways);
+    s.u64(1); // sets
+    s.u64(blocks);
+    for (unsigned b = 0; b < blocks; b++) {
+        s.u64(0);         // tag
+        s.boolean(false); // valid
+        s.u64(0);         // lastUse
+        s.u64(cfg.linesPerSuperBlock);
+        for (unsigned i = 0; i < cfg.linesPerSuperBlock; i++) {
+            s.boolean(false); // valid
+            s.boolean(false); // dirty
+            s.boolean(false); // compressed
+            s.u32(0);         // segments
+            s.bytes(zero.bytes.data(), kLineSize);
+        }
+    }
+    s.endSection();
+    return s.frame();
+}
+
+DecoupledCache::Config
+oneSetDecoupled()
+{
+    DecoupledCache::Config cfg;
+    cfg.capacityBytes = 8 * kLineSize;
+    return cfg;
+}
+
+TEST(Decoupled, HandWrittenSnapshotMatchesFreshSave)
+{
+    const DecoupledCache::Config cfg = oneSetDecoupled();
+    EXPECT_EQ(decoupledFrame(cfg, cfg.ways),
+              freshFrame<DecoupledCache>(cfg));
+}
+
+TEST(Decoupled, RestoreRejectsSetWithoutSuperBlocks)
+{
+    // With no super-blocks the next insert's LRU victim scan starts at
+    // blocks[0] of an empty vector.
+    const DecoupledCache::Config cfg = oneSetDecoupled();
+    EXPECT_FALSE(restores<DecoupledCache>(cfg, decoupledFrame(cfg, 0)));
 }
 
 // ---------------------------------------------------------------- Table 4

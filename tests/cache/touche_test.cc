@@ -3,7 +3,8 @@
  * Touché-specific regression tests: the signature false-positive and
  * impostor-eviction paths, WritebackGrowth-style re-compaction under
  * worst-case overwrite growth, the audit/mutation hook, wear charging,
- * and exact snapshot round-trips.
+ * exact snapshot round-trips, and restores that must reject hostile
+ * snapshots an insert would crash on.
  *
  * The scheme-generic contract (LRU, dirty writebacks, audit-after-
  * traffic, snapshot lockstep across all schemes) lives in
@@ -15,8 +16,10 @@
 
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "cache/touche.hh"
+#include "compress/cpack.hh"
 #include "compress/sigcodec.hh"
 #include "snapshot/snapshot.hh"
 #include "util/rng.hh"
@@ -233,6 +236,147 @@ TEST(Touche, SnapshotRoundTripLockstep)
     EXPECT_EQ(twin.stats().cellBitFlips, c.stats().cellBitFlips);
     EXPECT_EQ(twin.sigFalsePositives(), c.sigFalsePositives());
     EXPECT_EQ(twin.recompactions(), c.recompactions());
+}
+
+/** One valid slot of a hand-written superblock: a zero line, with the
+ *  cost and compressed flag insert would derive for it. */
+struct HostileSlot
+{
+    std::uint32_t sig = 0;
+    Addr line = 0;
+    std::uint32_t extraCost = 0; // added to the derived cost
+};
+
+/**
+ * A TCHE snapshot written by hand in the real layout: a cache of
+ * @p cfg's geometry that is empty except that set 0 holds
+ * @p set0_blocks superblocks, the first of which (super-tag @p tag) is
+ * valid and holds @p slots when any are given. With the defaults it is
+ * byte for byte a fresh cache's saveState(), so each hostile variant
+ * differs from real bytes only where it means to.
+ */
+std::vector<std::uint8_t>
+toucheFrame(const ToucheCache::Config &cfg, unsigned set0_blocks,
+            Addr tag = 0, const std::vector<HostileSlot> &slots = {})
+{
+    const std::uint64_t sets = cfg.capacityBytes / kLineSize / cfg.ways;
+    const std::uint32_t zero_cost =
+        comp::CpackEncoder::lineBits(CacheLine{}) +
+        ToucheCache::kEmbeddedTagBits;
+    const CacheLine zero{};
+    snap::Serializer s;
+    s.beginSection("TCHE");
+    s.u64(cfg.capacityBytes);
+    s.u32(cfg.ways);
+    s.u32(cfg.linesPerSuperBlock);
+    for (int i = 0; i < 5; i++)
+        s.u64(0); // clock, valid count, signature/compaction counters
+    LlcStats{}.save(s);
+    s.beginSection("WEAR");
+    s.u64(sets);
+    s.u64(cfg.ways);
+    s.vecU64(std::vector<std::uint64_t>(sets * cfg.ways));
+    s.vecU64(std::vector<std::uint64_t>(sets));
+    for (int i = 0; i < 3; i++)
+        s.u64(0);
+    s.endSection();
+    s.u64(sets);
+    for (std::uint64_t set = 0; set < sets; set++) {
+        const unsigned blocks = set == 0 ? set0_blocks : cfg.ways;
+        s.u64(blocks);
+        for (unsigned b = 0; b < blocks; b++) {
+            const bool hostile = set == 0 && b == 0 && !slots.empty();
+            s.u64(hostile ? tag : 0);
+            s.boolean(hostile);
+            s.u64(0); // lastUse
+            for (int stream = 0; stream < 2; stream++) {
+                s.u64(0);     // signature stream, then data image: bits
+                s.vecU64({}); // ... and words
+            }
+            s.u64(cfg.linesPerSuperBlock);
+            for (unsigned i = 0; i < cfg.linesPerSuperBlock; i++) {
+                const bool valid = hostile && i < slots.size();
+                s.boolean(valid);
+                s.boolean(false); // dirty
+                s.boolean(valid); // a zero line compresses
+                s.u32(valid ? zero_cost + slots[i].extraCost : 0);
+                s.u32(valid ? slots[i].sig : 0);
+                s.u64(valid ? slots[i].line : 0);
+                s.bytes(zero.bytes.data(), kLineSize);
+            }
+        }
+    }
+    s.endSection();
+    return s.frame();
+}
+
+/** One set of eight superblocks: small enough to write by hand. */
+ToucheCache::Config
+oneSetConfig()
+{
+    ToucheCache::Config cfg;
+    cfg.capacityBytes = 8 * kLineSize;
+    return cfg;
+}
+
+bool
+restores(const std::vector<std::uint8_t> &frame)
+{
+    ToucheCache c(oneSetConfig());
+    snap::Deserializer d(frame);
+    c.restoreState(d);
+    return d.ok();
+}
+
+TEST(Touche, HandWrittenSnapshotMatchesFreshSave)
+{
+    const ToucheCache::Config cfg = oneSetConfig();
+    ToucheCache fresh(cfg);
+    snap::Serializer s;
+    fresh.saveState(s);
+    EXPECT_EQ(toucheFrame(cfg, cfg.ways), s.frame());
+    EXPECT_TRUE(restores(toucheFrame(cfg, cfg.ways, 5, {{0, 20}})));
+}
+
+// Each rejected snapshot below was accepted by a restore that did not
+// check it, and the next insert into set 0 then crashed or indexed out
+// of range.
+
+TEST(Touche, RestoreRejectsSetWithoutSuperblocks)
+{
+    EXPECT_FALSE(restores(toucheFrame(oneSetConfig(), 0)));
+}
+
+TEST(Touche, RestoreRejectsSetWithExtraSuperblocks)
+{
+    const ToucheCache::Config cfg = oneSetConfig();
+    EXPECT_FALSE(restores(toucheFrame(cfg, cfg.ways + 1)));
+}
+
+TEST(Touche, RestoreRejectsSignatureWiderThanItsCode)
+{
+    const ToucheCache::Config cfg = oneSetConfig();
+    EXPECT_FALSE(restores(toucheFrame(
+        cfg, cfg.ways, 5, {{1u << comp::SigCodec::kSignatureBits, 20}})));
+}
+
+TEST(Touche, RestoreRejectsSlotCostTheDataDoesNotDerive)
+{
+    // The next repack of the way re-encodes the slot and checks its
+    // stored cost (MORC_DCHECK, fatal in audit builds).
+    const ToucheCache::Config cfg = oneSetConfig();
+    EXPECT_FALSE(restores(toucheFrame(cfg, cfg.ways, 5, {{0, 20, 8}})));
+}
+
+TEST(Touche, RestoreRejectsSlotsHoldingOtherSuperblocksLines)
+{
+    // Four valid slots, none of them a line of superblock 5: an insert
+    // of line 20 finds neither its own slot nor a free one.
+    const ToucheCache::Config cfg = oneSetConfig();
+    std::vector<HostileSlot> slots;
+    for (Addr line : {100, 101, 102, 103})
+        slots.push_back({comp::SigCodec::signatureOf(line), line});
+    EXPECT_FALSE(restores(toucheFrame(cfg, cfg.ways, 5, slots)));
 }
 
 } // namespace

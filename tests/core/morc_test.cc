@@ -1,12 +1,17 @@
 /**
  * @file
- * Tests for the MORC log-structured compressed cache.
+ * Tests for the MORC log-structured compressed cache, including
+ * restores that must reject hostile snapshots a later access would
+ * crash on.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/morc.hh"
 #include "snapshot/snapshot.hh"
@@ -438,6 +443,112 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, MorcGeometry,
     ::testing::Combine(::testing::Values(64u, 256u, 512u, 2048u),
                        ::testing::Values(1u, 4u, 8u, 16u)));
+
+// ------------------------------------------------- hostile snapshots
+//
+// A fresh cache's saved payload with a few bytes overwritten, resealed
+// into a valid frame: everything else is the real layout.
+
+std::vector<std::uint8_t>
+freshPayload(const LogCache &c)
+{
+    snap::Serializer s;
+    c.saveState(s);
+    return s.payload();
+}
+
+void
+putLe(std::vector<std::uint8_t> &p, std::size_t at, std::uint64_t v,
+      unsigned bytes)
+{
+    for (unsigned i = 0; i < bytes; i++)
+        p.at(at + i) = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint64_t
+getLe64(const std::vector<std::uint8_t> &p, std::size_t at)
+{
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < 8; i++)
+        v |= static_cast<std::uint64_t>(p.at(at + i)) << (8 * i);
+    return v;
+}
+
+bool
+restores(const std::vector<std::uint8_t> &payload)
+{
+    snap::Serializer s;
+    s.bytes(payload.data(), payload.size());
+    LogCache twin;
+    snap::Deserializer d(s.frame());
+    twin.restoreState(d);
+    return d.ok();
+}
+
+TEST(Morc, RestoreRejectsLmtEntryForALineItsLogLacks)
+{
+    // A valid LMT entry for line 1234 pointing at (empty) log 0: a read
+    // of that line would serve the log's nonexistent copy. The LMT is
+    // the payload's tail, just before the empty unlimited-map count.
+    const LogCache fresh;
+    std::vector<std::uint8_t> p = freshPayload(fresh);
+    ASSERT_TRUE(restores(p));
+    const std::uint64_t entries =
+        std::uint64_t{1} << floorLog2(MorcConfig{}.lmtEntries());
+    constexpr std::size_t kEntryBytes = 1 + 1 + 4 + 8;
+    const std::size_t lmt = p.size() - 8 - entries * kEntryBytes;
+    ASSERT_EQ(getLe64(p, lmt - 8), entries);
+    const Addr line = 1234;
+    const std::size_t slot = splitmix64(line) & (entries - 1);
+    const std::size_t at = lmt + slot * kEntryBytes;
+    putLe(p, at, 1, 1);         // valid
+    putLe(p, at + 2, 0, 4);     // log 0
+    putLe(p, at + 6, line, 8);  // line number
+    EXPECT_FALSE(restores(p));
+}
+
+TEST(Morc, RestoreRejectsUnlimitedLmtKeyNamingAnotherLine)
+{
+    // Unlimited-metadata mode: the map's one entry (the payload's tail:
+    // key, valid, modified, log, line) re-keyed to line 99, which no
+    // log holds. A read of line 99 would serve a copy that is not there.
+    MorcConfig cfg;
+    cfg.unlimitedMeta = true;
+    LogCache c(cfg);
+    c.insert(Addr{7} << kLineShift, zeroLine(), false);
+    snap::Serializer s;
+    c.saveState(s);
+    std::vector<std::uint8_t> p = s.payload();
+    constexpr std::size_t kEntryBytes = 8 + 1 + 1 + 4 + 8;
+    const std::size_t entry = p.size() - kEntryBytes;
+    ASSERT_EQ(getLe64(p, entry - 8), 1u); // map size
+    ASSERT_EQ(getLe64(p, entry), 7u);     // key
+    putLe(p, entry, 99, 8);
+    snap::Serializer framed;
+    framed.bytes(p.data(), p.size());
+    LogCache twin(cfg);
+    snap::Deserializer d(framed.frame());
+    twin.restoreState(d);
+    EXPECT_FALSE(d.ok());
+}
+
+TEST(Morc, RestoreRejectsTagStreamBitCountPastItsWords)
+{
+    // Log 0's tag stream (no words) claiming 2^64 - 1 bits: the next
+    // append to it would index a word far past the end.
+    const LogCache fresh;
+    std::vector<std::uint8_t> p = freshPayload(fresh);
+    const std::string tagc = "TAGC";
+    const auto it = std::search(p.begin(), p.end(), tagc.begin(),
+                                tagc.end());
+    ASSERT_NE(it, p.end());
+    const std::size_t section = static_cast<std::size_t>(it - p.begin());
+    const std::size_t words = section + 12 + getLe64(p, section + 4);
+    ASSERT_EQ(getLe64(p, words), 0u);     // word count
+    ASSERT_EQ(getLe64(p, words + 8), 0u); // bit count
+    putLe(p, words + 8, ~0ull, 8);
+    EXPECT_FALSE(restores(p));
+}
 
 } // namespace
 } // namespace core

@@ -398,6 +398,12 @@ TEST(KvService, MidRunSnapshotReplaysToIdenticalFinalBytes)
     snap::Serializer s;
     svc.saveState(s);
     const std::vector<std::uint8_t> frame = s.frame();
+    // FNV-1a of the frame pins the snapshot layout itself, not only
+    // its round trip.
+    std::uint64_t digest = 1469598103934665603ull;
+    for (const std::uint8_t b : frame)
+        digest = (digest ^ b) * 1099511628211ull;
+    EXPECT_EQ(digest, 0xb7e01fb5b8a6b9deull);
 
     kv::Service twin(cfg);
     snap::Deserializer d(frame);

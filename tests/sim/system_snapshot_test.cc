@@ -43,10 +43,26 @@ stateBytes(const System &sys)
     return s.frame();
 }
 
+/** FNV-1a over a saved frame: pins the snapshot bytes themselves, so a
+ *  save/restore refactor that round-trips but reorders, widens or drops
+ *  a field still fails. */
+std::uint64_t
+frameDigest(const std::vector<std::uint8_t> &frame)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (const std::uint8_t b : frame) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
 /** Expect that warm-up + snapshot + restore + measure reproduces a
- *  straight run() exactly, including the final serialized state. */
+ *  straight run() exactly, including the final serialized state, and
+ *  that the warm frame hashes to @p digest. */
 void
-expectRoundTrip(const SystemConfig &cfg, unsigned ncores)
+expectRoundTrip(const SystemConfig &cfg, unsigned ncores,
+                std::uint64_t digest)
 {
     const auto progs = programs(ncores);
 
@@ -58,6 +74,7 @@ expectRoundTrip(const SystemConfig &cfg, unsigned ncores)
     System saver(cfg, progs);
     saver.warmup(kWarm);
     const std::vector<std::uint8_t> frame = stateBytes(saver);
+    EXPECT_EQ(frameDigest(frame), digest);
 
     System restored(cfg, progs);
     snap::Deserializer d(frame);
@@ -102,37 +119,54 @@ flatConfig(Scheme s)
 
 TEST(SystemSnapshot, Uncompressed)
 {
-    expectRoundTrip(flatConfig(Scheme::Uncompressed), 2);
+    expectRoundTrip(flatConfig(Scheme::Uncompressed), 2,
+                    0x7fe2553b2780396bull);
 }
 
 TEST(SystemSnapshot, Adaptive)
 {
-    expectRoundTrip(flatConfig(Scheme::Adaptive), 2);
+    expectRoundTrip(flatConfig(Scheme::Adaptive), 2, 0xfc5d45d3fddb7e23ull);
 }
 
 TEST(SystemSnapshot, Decoupled)
 {
-    expectRoundTrip(flatConfig(Scheme::Decoupled), 2);
+    expectRoundTrip(flatConfig(Scheme::Decoupled), 2, 0x0dea704a602aaa95ull);
 }
 
 TEST(SystemSnapshot, Sc2)
 {
-    expectRoundTrip(flatConfig(Scheme::Sc2), 2);
+    expectRoundTrip(flatConfig(Scheme::Sc2), 2, 0xd83dd7615e110ac2ull);
 }
 
 TEST(SystemSnapshot, Morc)
 {
-    expectRoundTrip(flatConfig(Scheme::Morc), 2);
+    expectRoundTrip(flatConfig(Scheme::Morc), 2, 0xd5c47dbbb03c885cull);
 }
 
 TEST(SystemSnapshot, MorcMerged)
 {
-    expectRoundTrip(flatConfig(Scheme::MorcMerged), 2);
+    expectRoundTrip(flatConfig(Scheme::MorcMerged), 2, 0x5c5d28be464305e4ull);
 }
 
 TEST(SystemSnapshot, OracleInter)
 {
-    expectRoundTrip(flatConfig(Scheme::OracleInter), 2);
+    expectRoundTrip(flatConfig(Scheme::OracleInter), 2, 0xbcc50fc7aeffb151ull);
+}
+
+TEST(SystemSnapshot, Uncompressed8x)
+{
+    expectRoundTrip(flatConfig(Scheme::Uncompressed8x), 2,
+                    0x8bb6ffd130520bf8ull);
+}
+
+TEST(SystemSnapshot, OracleIntra)
+{
+    expectRoundTrip(flatConfig(Scheme::OracleIntra), 2, 0xb2c289b8c31aa97eull);
+}
+
+TEST(SystemSnapshot, Touche)
+{
+    expectRoundTrip(flatConfig(Scheme::Touche), 2, 0x77b7f461a6c105e4ull);
 }
 
 TEST(SystemSnapshot, BankedMesh4x4)
@@ -145,7 +179,7 @@ TEST(SystemSnapshot, BankedMesh4x4)
     cfg.useMesh = true;
     cfg.meshCfg.width = 4;
     cfg.meshCfg.height = 4;
-    expectRoundTrip(cfg, 4);
+    expectRoundTrip(cfg, 4, 0xd325cb28e4147b81ull);
 }
 
 TEST(SystemSnapshot, WithTelemetryAndTrace)
@@ -153,7 +187,7 @@ TEST(SystemSnapshot, WithTelemetryAndTrace)
     SystemConfig cfg = flatConfig(Scheme::Morc);
     cfg.telemetryEpoch = 10'000;
     cfg.traceEvents = true;
-    expectRoundTrip(cfg, 2);
+    expectRoundTrip(cfg, 2, 0x28145a91fc4afcf4ull);
 }
 
 TEST(SystemSnapshot, WithAttachedHistograms)
@@ -173,6 +207,7 @@ TEST(SystemSnapshot, WithAttachedHistograms)
     System saver(cfg, programs(2));
     saver.warmup(kWarm);
     const auto frame = stateBytes(saver);
+    EXPECT_EQ(frameDigest(frame), 0x211b4b5a4aca05c5ull);
 
     decomp.clear();
     lat.clear();

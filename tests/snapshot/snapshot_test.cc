@@ -2,15 +2,19 @@
  * @file
  * Tests for the snapshot serialization layer: primitive round-trips,
  * frame validation (magic/version/endianness/length/CRC), the tagged
- * section machinery, soft-failure semantics, and atomic file writes.
+ * section machinery, the shared walk vocabulary (in-place restore,
+ * expect/check/range/length/key-order rejection), soft-failure
+ * semantics, and atomic file writes.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "snapshot/snapshot.hh"
@@ -66,7 +70,7 @@ TEST(Snapshot, VectorsRoundTrip)
     s.vecU64({1ull << 60});
     s.vecF64({1.5, -2.5, 0.0});
     const std::vector<std::string> names = {"a", "bc", "def"};
-    s.vec(names, [&s](const std::string &n) { s.str(n); });
+    s.vec(names, 8, [&s](const std::string &n) { s.str(n); });
 
     Deserializer d(s.frame());
     std::vector<std::uint8_t> v8;
@@ -78,7 +82,7 @@ TEST(Snapshot, VectorsRoundTrip)
     d.vecU64(v64);
     d.vecF64(vf);
     std::vector<std::string> got;
-    d.readVec(got, 8, [&d]() { return d.str(); });
+    d.vec(got, 8, [&d](std::string &n) { d.str(n); });
     EXPECT_TRUE(d.ok());
     EXPECT_EQ(v8, (std::vector<std::uint8_t>{9, 8, 7}));
     EXPECT_EQ(v32, (std::vector<std::uint32_t>{1u << 30, 2}));
@@ -193,9 +197,128 @@ TEST(Snapshot, ArrayLenIsCappedAgainstRemainingBytes)
     s.u32(7);          // ...but only 4 bytes follow
     Deserializer d(s.frame());
     std::vector<std::uint64_t> v;
-    d.readVec(v, 8, [&d]() { return d.u64(); });
+    d.vec(v, 8, [&d](std::uint64_t &e) { d.u64(e); });
     EXPECT_FALSE(d.ok());
     EXPECT_TRUE(v.empty());
+}
+
+/** A component spelled the way every snapshotted part of the simulator
+ *  is: one walk, run by both save and restore. */
+struct Walked
+{
+    std::uint32_t ways = 4;                 // config: expect()ed
+    std::uint64_t clock = 0;                // state
+    std::uint8_t kind = 0;                  // narrowed, must be < 3
+    std::vector<std::uint64_t> fixed{0, 0}; // geometry-pinned length
+    std::deque<std::uint32_t> fifo;         // free length
+    std::unordered_map<std::uint64_t, std::uint32_t> map;
+
+    template <typename Self, typename IO>
+    static void
+    walk(Self &self, IO &io)
+    {
+        io.section("WALK", [&] {
+            io.expect(self.ways, "ways mismatch");
+            io.u64(self.clock);
+            io.u32(self.kind, 3, "kind out of range");
+            io.fixedVec(self.fixed, 8, "fixed length mismatch",
+                        [&](auto &v) { io.u64(v); });
+            io.vec(self.fifo, 4, [&](auto &v) { io.u32(v); });
+            io.sortedMap(self.map, 8 + 4, [&](auto &k, auto &v) {
+                io.u64(k);
+                io.u32(v);
+            });
+            io.check(self.clock < 1000, "clock out of range");
+        });
+    }
+
+    std::vector<std::uint8_t>
+    frame() const
+    {
+        Serializer s;
+        walk(*this, s);
+        return s.frame();
+    }
+
+    bool
+    restore(std::vector<std::uint8_t> bytes)
+    {
+        Deserializer d(std::move(bytes));
+        walk(*this, d);
+        return d.ok();
+    }
+};
+
+Walked
+sampleWalked()
+{
+    Walked w;
+    w.clock = 77;
+    w.kind = 2;
+    w.fixed = {5, 6};
+    w.fifo = {9, 8, 7};
+    w.map = {{30, 3}, {10, 1}, {20, 2}};
+    return w;
+}
+
+TEST(Snapshot, WalkRestoresInPlaceAndReserializes)
+{
+    const Walked w = sampleWalked();
+    const std::vector<std::uint8_t> bytes = w.frame();
+    Walked twin;
+    ASSERT_TRUE(twin.restore(bytes));
+    EXPECT_EQ(twin.clock, 77u);
+    EXPECT_EQ(twin.kind, 2u);
+    EXPECT_EQ(twin.fixed, w.fixed);
+    EXPECT_EQ(twin.fifo, w.fifo);
+    EXPECT_EQ(twin.map, w.map);
+    EXPECT_EQ(twin.frame(), bytes); // map entries travel key-sorted
+}
+
+TEST(Snapshot, WalkRejectsMismatchAndOutOfRangeValues)
+{
+    const auto rejects = [](const Walked &saved, Walked live) {
+        return !live.restore(saved.frame());
+    };
+    Walked other_ways = sampleWalked();
+    other_ways.ways = 8;
+    EXPECT_TRUE(rejects(other_ways, Walked{}));
+
+    Walked bad_kind = sampleWalked();
+    bad_kind.kind = 3;
+    EXPECT_TRUE(rejects(bad_kind, Walked{}));
+
+    Walked bad_clock = sampleWalked();
+    bad_clock.clock = 1000;
+    EXPECT_TRUE(rejects(bad_clock, Walked{}));
+
+    // A geometry-pinned vector never takes the stream's length.
+    Walked longer = sampleWalked();
+    longer.fixed = {1, 2, 3};
+    Walked live;
+    EXPECT_FALSE(live.restore(longer.frame()));
+    EXPECT_EQ(live.fixed.size(), 2u);
+}
+
+TEST(Snapshot, WalkRejectsUnsortedMapKeys)
+{
+    // Hand-written stream whose map repeats a key: a saved map is
+    // always strictly ascending, so this can only be hostile input.
+    Serializer s;
+    s.beginSection("WALK");
+    s.u32(4);
+    s.u64(0);
+    s.u32(0);
+    s.vecU64({0, 0});
+    s.vecU32({});
+    s.u64(2);
+    for (int i = 0; i < 2; i++) {
+        s.u64(5);
+        s.u32(1);
+    }
+    s.endSection();
+    Walked live;
+    EXPECT_FALSE(live.restore(s.frame()));
 }
 
 TEST(Snapshot, ExplicitFailLatchesFirstError)

@@ -16,7 +16,7 @@ namespace {
 
 TEST(Histogram, EmptyBoundsIsSingleCatchAllBucket)
 {
-    stats::Histogram h({});
+    stats::Histogram h;
     ASSERT_EQ(h.numBuckets(), 1u);
     EXPECT_EQ(h.label(0), "all");
     h.record(0);

@@ -14,10 +14,10 @@ hazard classes lint-time errors:
   raw-sync                    std::mutex/std::thread & friends outside
                               src/util/sync.hh and src/sweep/pool.hh
                               (use the annotated morc::sync wrappers)
-  snapshot-completeness       classes with save/restore methods whose
-                              data members are mentioned in neither
-                              (the "added a field, forgot the snapshot"
-                              bug class)
+  snapshot-completeness       classes with save/restore methods or a
+                              snapshot walk whose data members are
+                              mentioned in none of them (the "added a
+                              field, forgot the snapshot" bug class)
   bare-assert                 assert() in src/ vanishes under NDEBUG;
                               use MORC_CHECK from check/check.hh
 
@@ -73,6 +73,8 @@ RAW_SYNC_ALLOWED = ("src/util/sync.hh", "src/sweep/pool.hh")
 
 SAVE_METHODS = {"save", "saveState"}
 RESTORE_METHODS = {"restore", "restoreState", "load"}
+# The one layout list both entry points run (snapshot/snapshot.hh).
+WALK_METHODS = {"walk"}
 
 CXX_KEYWORDS = {
     "if", "for", "while", "switch", "return", "else", "do", "new",
@@ -637,18 +639,20 @@ def check_snapshot_completeness(sf, ctx):
             sf, sibling, cls, bstart, bend, SAVE_METHODS)
         restore_body, restores = _method_bodies(
             sf, sibling, cls, bstart, bend, RESTORE_METHODS)
-        if not saves or not restores:
+        walk_body, walks = _method_bodies(
+            sf, sibling, cls, bstart, bend, WALK_METHODS)
+        if not walks and not (saves and restores):
             continue
-        corpus = save_body + restore_body
+        corpus = save_body + restore_body + walk_body
+        methods = "/".join(sorted(set(saves + restores + walks)))
         for name, line in _member_decls(sf, bstart, bend):
             if re.search(r"\b" + re.escape(name) + r"\b", corpus):
                 continue
             yield Finding(
                 sf.display, line, "snapshot-completeness",
-                f"member '{cls}::{name}' appears in neither "
-                f"{'/'.join(sorted(set(saves)))} nor "
-                f"{'/'.join(sorted(set(restores)))}; snapshot it, or "
-                f"suppress with a reason if it is derived state")
+                f"member '{cls}::{name}' appears in none of {methods}; "
+                f"snapshot it, or suppress with a reason if it is "
+                f"derived state")
 
 
 # -- 5. bare-assert ---------------------------------------------------
