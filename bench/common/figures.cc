@@ -1,11 +1,14 @@
 #include "common/figures.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -22,8 +25,10 @@
 #include "kv/service.hh"
 #include "sim/system.hh"
 #include "snapshot/snapshot.hh"
+#include "stats/report.hh"
 #include "stats/summary.hh"
 #include "sweep/journal.hh"
+#include "sweep/sweep.hh"
 #include "telemetry/tracer.hh"
 #include "trace/workload.hh"
 #include "util/rng.hh"
@@ -39,47 +44,38 @@ using stats::RunRecord;
 using sweep::Task;
 
 // ------------------------------------------------------------------
-// Shared task plumbing
+// Run-wide settings
 // ------------------------------------------------------------------
 
-/** Per-core measured instructions: env MORC_BENCH_INSTR, else a
- *  short-but-stable default. */
-std::uint64_t
-instrBudget()
-{
-    if (const char *s = std::getenv("MORC_BENCH_INSTR"))
-        return std::strtoull(s, nullptr, 10);
-    return 800'000;
-}
-
-/** Per-core warm-up instructions: env MORC_BENCH_WARMUP, else twice
- *  the default measured budget. */
-std::uint64_t
-warmupBudget()
-{
-    if (const char *s = std::getenv("MORC_BENCH_WARMUP"))
-        return std::strtoull(s, nullptr, 10);
-    return 1'600'000;
-}
-
-/** Telemetry requested via --telemetry-epoch / --trace-out. Set once by
- *  sweepMain before any task runs, then only read by (parallel) tasks,
- *  so plain globals are race-free. */
+/** Per-core measured and warm-up instructions (MORC_BENCH_INSTR and
+ *  MORC_BENCH_WARMUP; by default a short-but-stable budget warmed for
+ *  twice as long), the telemetry options (--telemetry-epoch,
+ *  --trace-out) and the warm-snapshot directory (--checkpoint-dir DIR =>
+ *  DIR/warm; empty = warm checkpointing off). Set once by sweepMain
+ *  before any task runs, then only read by (parallel) tasks, so plain
+ *  globals are race-free. */
+std::uint64_t g_instr = 800'000;
+std::uint64_t g_warmup = 1'600'000;
 std::uint64_t g_telemetryEpoch = 0;
 bool g_traceEvents = false;
-
-/** Warm-snapshot directory (--checkpoint-dir DIR => DIR/warm), empty =
- *  warm checkpointing off. Set once before any task runs. */
 std::string g_warmDir;
 
 /**
  * Canonical description of everything that determines a warmed-up
- * system: the full effective config, the programs, and the warm-up
- * budget. Hashed (stableSeed) into the warm-snapshot filename, so
- * identical warm-up phases — across figures or across invocations —
- * simulate once and restore thereafter. A hash collision is harmless:
- * System::restore() validates the complete config fingerprint inside
- * the snapshot and the caller falls back to a cold warm-up.
+ * system: the effective config, the programs, and the warm-up budget.
+ * Hashed (stableSeed) into the warm-snapshot filename, so identical
+ * warm-up phases — across figures or across invocations — simulate once
+ * and restore thereafter.
+ *
+ * The restore re-validates only part of this: the snapshot's SCFG
+ * section checks 26 config values and the programs, and each component
+ * checks its own geometry. Nothing inside the snapshot checks the
+ * warm-up budget, morc.decompressBytesPerCycle, morc.tagsPerCycle,
+ * morc.parallelTagData or the two trace thresholds, so only this hash
+ * separates snapshots that differ in them; a collision between two such
+ * configs would restore the wrong warm state. (meshCfg.hopCycles is in
+ * neither; every figure leaves it at its default.) Any other mismatch
+ * is rejected and the caller falls back to a cold warm-up.
  */
 std::string
 warmFingerprint(const sim::SystemConfig &cfg,
@@ -214,45 +210,79 @@ warmViaCheckpoint(std::unique_ptr<sim::System> &sys,
     }
 }
 
-/** System::run() routed through the warm-snapshot cache when enabled.
- *  @p cfg and @p programs must be exactly what @p sys was built from. */
-sim::RunResult
-runSystem(std::unique_ptr<sim::System> &sys,
-          const sim::SystemConfig &cfg,
-          const std::vector<trace::BenchmarkSpec> &programs,
-          std::uint64_t instr, std::uint64_t warmup)
-{
-    if (g_warmDir.empty() || warmup == 0)
-        return sys->run(instr, warmup);
-    warmViaCheckpoint(sys, cfg, programs, warmup);
-    return sys->measure(instr);
-}
+// ------------------------------------------------------------------
+// Figure declarations
+// ------------------------------------------------------------------
 
-/** Join key parts with '/'. */
-std::string
-k(std::initializer_list<std::string> parts)
+/** One axis of a figure's grid: each value's name, in task order. The
+ *  name is the value's part of every task key. */
+using Axis = std::vector<std::string>;
+
+/** A grid position: one value index per axis, in declaration order. */
+using Point = std::vector<std::size_t>;
+
+/** What one simulated grid point runs. */
+struct Run
 {
-    std::string out;
-    for (const auto &p : parts) {
-        if (!out.empty())
-            out += '/';
-        out += p;
+    sim::SystemConfig cfg;
+    std::vector<trace::BenchmarkSpec> programs; // one per core
+    std::uint64_t instr = 0;                    // measured, per core
+    std::uint64_t warmup = 0;                   // warm-up, per core
+    std::vector<std::pair<std::string, std::string>> labels;
+    /** Builds the record from the finished System; null = simRecord. */
+    std::function<RunRecord(sim::System &, const sim::RunResult &)> read;
+};
+
+/** A finished figure's records, read by grid position. */
+struct Grid
+{
+    const std::vector<Axis> &axes;
+    const Report &rep;
+
+    std::size_t size(std::size_t a) const { return axes[a].size(); }
+
+    /** Name of value @p i on axis @p a. */
+    const char *
+    name(std::size_t a, std::size_t i) const
+    {
+        return axes[a][i].c_str();
     }
-    return out;
-}
 
-/** Run one System and flatten the RunResult into the standard metrics. */
-RunRecord
-simRecord(const sim::SystemConfig &cfg,
-          const std::vector<trace::BenchmarkSpec> &programs,
-          std::uint64_t instr, std::uint64_t warmup)
+    /** The record at @p p: one index per axis, in declaration order. */
+    const RunRecord &
+    at(std::initializer_list<std::size_t> p) const
+    {
+        std::size_t flat = 0, a = 0;
+        for (std::size_t i : p)
+            flat = flat * axes.at(a++).size() + i;
+        return rep.runs.at(flat);
+    }
+};
+
+/**
+ * One paper figure or table: its grid of tasks and how to present them.
+ * Tasks enumerate the axes in declaration order, the last varying
+ * fastest; a task's key is the figure name followed by its value names.
+ * Each point either simulates (@c simulate) or computes its record
+ * directly from the task seed (@c record).
+ */
+struct Figure
 {
-    sim::SystemConfig effective = cfg;
-    effective.telemetryEpoch = g_telemetryEpoch;
-    effective.traceEvents = g_traceEvents;
-    auto sys = std::make_unique<sim::System>(effective, programs);
-    const sim::RunResult r =
-        runSystem(sys, effective, programs, instr, warmup);
+    const char *name;       // CLI name and first key part, e.g. "fig6"
+    const char *title;      // banner line
+    const char *paperClaim; // "Paper reports:" line
+    std::vector<Axis> axes;
+    void (*present)(const Grid &);
+    Run (*simulate)(const Point &) = nullptr;
+    RunRecord (*record)(const Point &, std::uint64_t seed) = nullptr;
+    /** Axes in key order, when it differs from the task order. */
+    std::vector<std::size_t> keyOrder = {};
+};
+
+/** Flatten a finished run into the standard metrics. */
+RunRecord
+simRecord(const sim::RunResult &r)
+{
     RunRecord rec;
     rec.metric("ratio", r.compressionRatio);
     rec.metric("gb_per_binstr", r.gbPerBillionInstr());
@@ -296,49 +326,107 @@ simRecord(const sim::SystemConfig &cfg,
     if (r.meshed) {
         rec.metric("noc_messages", static_cast<double>(r.nocMessages));
         rec.metric("noc_mean_hops", r.nocMeanHops);
+        // mean_throughput is already per-core (per-tile) normalized;
+        // sys_ipc_per_tile is the raw aggregate-rate analogue.
+        rec.metric("sys_ipc_per_tile",
+                   static_cast<double>(r.totalInstructions) /
+                       std::max(1.0, static_cast<double>(r.completionCycles)) /
+                       static_cast<double>(r.cores.size()));
         rec.histograms.emplace_back("noc_hops", r.nocHopHist);
         rec.histograms.emplace_back("noc_queue_cycles", r.nocQueueHist);
     }
-    rec.series = r.series;
-    rec.trace = r.trace;
     return rec;
 }
 
-/** Single-program task with the Figure 6 defaults. */
-Task
-singleTask(std::string key, sim::Scheme scheme, trace::BenchmarkSpec spec,
-           double bw_per_core = 100e6,
-           std::uint64_t llc_bytes = 128 * 1024,
-           core::MorcConfig *morc = nullptr, unsigned warmup_scale = 1)
+/**
+ * The point runner, which with warmViaCheckpoint's fallback is the only
+ * code that builds a System: apply the telemetry options, warm up
+ * through the warm-snapshot cache when --checkpoint-dir is set,
+ * measure, and build the record.
+ */
+RunRecord
+runPoint(const Run &run)
 {
-    core::MorcConfig morcCopy;
-    const bool haveMorc = morc != nullptr;
-    if (haveMorc)
-        morcCopy = *morc;
-    return Task{std::move(key),
-                [=](std::uint64_t) -> RunRecord {
-                    sim::SystemConfig cfg;
-                    cfg.scheme = scheme;
-                    cfg.bandwidthPerCore = bw_per_core;
-                    cfg.llcBytesPerCore = llc_bytes;
-                    cfg.ratioSampleInterval = std::max<std::uint64_t>(
-                        instrBudget() / 8, 50'000);
-                    if (haveMorc) {
-                        cfg.morc = morcCopy;
-                        cfg.useMorcOverride = true;
-                    }
-                    RunRecord rec =
-                        simRecord(cfg, {spec}, instrBudget(),
-                                  warmupBudget() * warmup_scale);
-                    rec.label("workload", spec.name);
-                    rec.label("scheme", schemeName(scheme));
-                    return rec;
-                }};
+    sim::SystemConfig cfg = run.cfg;
+    cfg.telemetryEpoch = g_telemetryEpoch;
+    cfg.traceEvents = g_traceEvents;
+    auto sys = std::make_unique<sim::System>(cfg, run.programs);
+    const bool cached = !g_warmDir.empty() && run.warmup > 0;
+    if (cached)
+        warmViaCheckpoint(sys, cfg, run.programs, run.warmup);
+    sim::RunResult r = cached ? sys->measure(run.instr)
+                              : sys->run(run.instr, run.warmup);
+    RunRecord rec = run.read ? run.read(*sys, r) : simRecord(r);
+    rec.labels = run.labels;
+    rec.series = std::move(r.series);
+    rec.trace = std::move(r.trace);
+    return rec;
+}
+
+/** A single-program point on the Figure 6 system: one core, 128 KB of
+ *  LLC and 100 MB/s, the SystemConfig defaults. */
+Run
+single(const trace::BenchmarkSpec &spec, sim::Scheme scheme)
+{
+    Run run;
+    run.cfg.scheme = scheme;
+    run.cfg.ratioSampleInterval =
+        std::max<std::uint64_t>(g_instr / 8, 50'000);
+    run.programs = {spec};
+    run.instr = g_instr;
+    run.warmup = g_warmup;
+    run.labels = {{"workload", spec.name},
+                  {"scheme", sim::schemeName(scheme)}};
+    return run;
+}
+
+/** A MORC point sampling its ratio once per run, labelled by workload
+ *  only: the figures that study MORC's internals (7, 12 and 14). */
+Run
+morcInternals(const trace::BenchmarkSpec &spec)
+{
+    Run run = single(spec, sim::Scheme::Morc);
+    run.cfg.ratioSampleInterval = g_instr;
+    run.labels = {{"workload", spec.name}};
+    return run;
+}
+
+/** A point running workload @p programs[c] on core c, sharing the LLC.
+ *  Every program spends its own budget, so both budgets are divided by
+ *  @p divisor and floored at @p floor. */
+Run
+multi(const std::vector<std::string> &programs, sim::Scheme scheme,
+      std::uint64_t divisor, std::uint64_t floor)
+{
+    Run run;
+    run.instr = std::max(g_instr / divisor, floor);
+    run.warmup = std::max(g_warmup / divisor, floor);
+    run.cfg.scheme = scheme;
+    run.cfg.numCores = static_cast<unsigned>(programs.size());
+    run.cfg.ratioSampleInterval =
+        std::max<std::uint64_t>(run.instr, 100'000);
+    for (const auto &name : programs)
+        run.programs.push_back(trace::resolveWorkload(name));
+    return run;
+}
+
+/** An axis naming each of @p values by @p name. */
+template <typename R, typename F>
+Axis
+axis(const R &values, F name)
+{
+    Axis a;
+    for (const auto &v : values)
+        a.push_back(name(v));
+    return a;
 }
 
 const sim::Scheme kCompared[] = {
     sim::Scheme::Uncompressed, sim::Scheme::Adaptive,
     sim::Scheme::Decoupled, sim::Scheme::Sc2, sim::Scheme::Morc};
+
+const sim::Scheme kUncompressedVsMorc[] = {sim::Scheme::Uncompressed,
+                                           sim::Scheme::Morc};
 
 void
 banner(const Figure &fig)
@@ -363,119 +451,80 @@ printMeans(const char *label, const std::vector<double> &v)
 // Figure 2: oracle intra- vs inter-line compression limits
 // ------------------------------------------------------------------
 
-std::vector<Task>
-fig2Tasks()
-{
-    std::vector<Task> tasks;
-    for (const auto &spec : trace::spec2006()) {
-        for (sim::Scheme s :
-             {sim::Scheme::Uncompressed, sim::Scheme::OracleIntra,
-              sim::Scheme::OracleInter}) {
-            tasks.push_back(
-                singleTask(k({"fig2", spec.name, schemeName(s)}), s,
-                           spec));
-        }
-    }
-    return tasks;
-}
+const sim::Scheme kOracles[] = {sim::Scheme::Uncompressed,
+                                sim::Scheme::OracleIntra,
+                                sim::Scheme::OracleInter};
 
 void
-fig2Present(const Report &rep)
+fig2Present(const Grid &g)
 {
-    std::vector<double> intra_r, inter_r, intra_bw, inter_bw;
+    // Ratio and bandwidth saved vs Uncompressed, of intra then inter.
+    std::vector<double> ratio[2], bw[2];
     std::printf("%-10s %12s %12s %10s %10s\n", "bench", "intra-ratio",
                 "inter-ratio", "intra-BW%", "inter-BW%");
-    for (const auto &spec : trace::spec2006()) {
-        const double bw0 = rep.metric(
-            k({"fig2", spec.name, "Uncompressed"}), "gb_per_binstr");
-        const auto *intra =
-            rep.find(k({"fig2", spec.name, "Oracle-Intra"}));
-        const auto *inter =
-            rep.find(k({"fig2", spec.name, "Oracle-Inter"}));
-        const double bw_intra =
-            100.0 * (1.0 - intra->get("gb_per_binstr") / bw0);
-        const double bw_inter =
-            100.0 * (1.0 - inter->get("gb_per_binstr") / bw0);
-        intra_r.push_back(intra->get("ratio"));
-        inter_r.push_back(inter->get("ratio"));
-        intra_bw.push_back(bw_intra);
-        inter_bw.push_back(bw_inter);
-        std::printf("%-10s %12.2f %12.2f %9.1f%% %9.1f%%\n",
-                    spec.name.c_str(), intra->get("ratio"),
-                    inter->get("ratio"), bw_intra, bw_inter);
+    for (std::size_t w = 0; w < g.size(0); w++) {
+        const double bw0 = g.at({w, 0}).get("gb_per_binstr");
+        for (std::size_t o = 0; o < 2; o++) {
+            const RunRecord &r = g.at({w, 1 + o});
+            ratio[o].push_back(r.get("ratio"));
+            bw[o].push_back(100.0 * (1.0 - r.get("gb_per_binstr") / bw0));
+        }
+        std::printf("%-10s %12.2f %12.2f %9.1f%% %9.1f%%\n", g.name(0, w),
+                    ratio[0].back(), ratio[1].back(), bw[0].back(),
+                    bw[1].back());
     }
-    printMeans("intra ratio", intra_r);
-    printMeans("inter ratio", inter_r);
-    printMeans("intra BW%", intra_bw);
-    printMeans("inter BW%", inter_bw);
+    printMeans("intra ratio", ratio[0]);
+    printMeans("inter ratio", ratio[1]);
+    printMeans("intra BW%", bw[0]);
+    printMeans("inter BW%", bw[1]);
 }
 
 // ------------------------------------------------------------------
 // Figure 6: single-program evaluation over the 54 workloads
 // ------------------------------------------------------------------
 
-std::vector<Task>
-fig6Tasks()
-{
-    std::vector<Task> tasks;
-    for (const auto &spec : trace::figure6Workloads())
-        for (sim::Scheme s : kCompared)
-            tasks.push_back(singleTask(
-                k({"fig6", spec.name, schemeName(s)}), s, spec));
-    return tasks;
-}
-
 void
-fig6Present(const Report &rep)
+fig6Present(const Grid &g)
 {
     constexpr int kN = 5;
-    std::vector<double> ratio[kN], gb[kN], ipc_imp[kN], thr_imp[kN];
+    std::vector<double> ratio[kN], ipc_imp[kN], thr_imp[kN];
+    double gb_sum[kN] = {};
     std::printf("%-12s | ratio: %-26s | GB/Binstr: %-32s | IPC+%% (A/D/S/M) "
                 "| THR+%%\n",
                 "workload", "A     D     S     M", "U     A     D     S "
                 "    M");
-    for (const auto &spec : trace::figure6Workloads()) {
-        const RunRecord *r[kN];
-        for (int i = 0; i < kN; i++)
-            r[i] = rep.find(
-                k({"fig6", spec.name, schemeName(kCompared[i])}));
-        const double base_ipc = r[0]->get("ipc");
-        const double base_thr = r[0]->get("throughput");
-        std::printf("%-12s |", spec.name.c_str());
-        for (int i = 1; i < kN; i++)
-            std::printf(" %5.2f", r[i]->get("ratio"));
-        std::printf(" |");
-        for (int i = 0; i < kN; i++)
-            std::printf(" %5.2f", r[i]->get("gb_per_binstr"));
-        std::printf(" |");
-        for (int i = 1; i < kN; i++)
-            std::printf(" %+5.0f",
-                        100.0 * (r[i]->get("ipc") / base_ipc - 1.0));
-        std::printf(" |");
-        for (int i = 1; i < kN; i++)
-            std::printf(" %+5.0f",
-                        100.0 *
-                            (r[i]->get("throughput") / base_thr - 1.0));
-        std::printf("\n");
+    for (std::size_t w = 0; w < g.size(0); w++) {
+        const RunRecord &base = g.at({w, 0});
+        double gb[kN];
         for (int i = 0; i < kN; i++) {
-            ratio[i].push_back(r[i]->get("ratio"));
-            gb[i].push_back(r[i]->get("gb_per_binstr"));
-            ipc_imp[i].push_back(r[i]->get("ipc") / base_ipc);
-            thr_imp[i].push_back(r[i]->get("throughput") / base_thr);
+            const RunRecord &r = g.at({w, std::size_t(i)});
+            ratio[i].push_back(r.get("ratio"));
+            gb[i] = r.get("gb_per_binstr");
+            gb_sum[i] += gb[i];
+            ipc_imp[i].push_back(r.get("ipc") / base.get("ipc"));
+            thr_imp[i].push_back(r.get("throughput") / base.get("throughput"));
         }
+        std::printf("%-12s |", g.name(0, w));
+        for (int i = 1; i < kN; i++)
+            std::printf(" %5.2f", ratio[i].back());
+        std::printf(" |");
+        for (int i = 0; i < kN; i++)
+            std::printf(" %5.2f", gb[i]);
+        std::printf(" |");
+        for (int i = 1; i < kN; i++)
+            std::printf(" %+5.0f", 100.0 * (ipc_imp[i].back() - 1.0));
+        std::printf(" |");
+        for (int i = 1; i < kN; i++)
+            std::printf(" %+5.0f", 100.0 * (thr_imp[i].back() - 1.0));
+        std::printf("\n");
     }
     std::printf("\nSummary (54 workloads):\n");
     for (int i = 0; i < kN; i++) {
-        double gb_sum = 0, gb_base = 0;
-        for (std::size_t j = 0; j < gb[i].size(); j++) {
-            gb_sum += gb[i][j];
-            gb_base += gb[0][j];
-        }
         std::printf("%-14s ratio AMean %5.2f GMean %5.2f | BW reduction "
                     "%+6.1f%% | IPC %+6.1f%% | throughput %+6.1f%%\n",
-                    schemeName(kCompared[i]), stats::amean(ratio[i]),
+                    g.name(1, i), stats::amean(ratio[i]),
                     stats::gmean(ratio[i]),
-                    100.0 * (1.0 - gb_sum / gb_base),
+                    100.0 * (1.0 - gb_sum[i] / gb_sum[0]),
                     100.0 * (stats::gmean(ipc_imp[i]) - 1.0),
                     100.0 * (stats::gmean(thr_imp[i]) - 1.0));
     }
@@ -485,70 +534,51 @@ fig6Present(const Report &rep)
 // Figure 7: LBE symbol usage distribution
 // ------------------------------------------------------------------
 
-std::vector<Task>
-fig7Tasks()
-{
-    std::vector<Task> tasks;
-    for (const auto &spec : trace::spec2006()) {
-        tasks.push_back(Task{
-            k({"fig7", spec.name}), [spec](std::uint64_t) -> RunRecord {
-                sim::SystemConfig cfg;
-                cfg.scheme = sim::Scheme::Morc;
-                cfg.ratioSampleInterval = instrBudget();
-                const std::vector<trace::BenchmarkSpec> progs{spec};
-                auto sys = std::make_unique<sim::System>(cfg, progs);
-                runSystem(sys, cfg, progs, instrBudget(),
-                          warmupBudget());
-                auto *lc = dynamic_cast<core::LogCache *>(&sys->llc());
-                const comp::LbeStats st = lc->lbeStats();
+constexpr int kLbeSymbols = static_cast<int>(comp::LbeSymbol::NumSymbols);
 
-                constexpr int n =
-                    static_cast<int>(comp::LbeSymbol::NumSymbols);
-                double total = 0, zero = 0, weighted[n];
-                for (int s = 0; s < n; s++) {
-                    const auto sym = static_cast<comp::LbeSymbol>(s);
-                    weighted[s] = static_cast<double>(st.count[s]) *
-                                  comp::LbeStats::dataBytes(sym);
-                    total += weighted[s];
-                    zero += static_cast<double>(st.zeroCount[s]) *
-                            comp::LbeStats::dataBytes(sym);
-                }
-                RunRecord rec;
-                rec.label("workload", spec.name);
-                for (int s = 0; s < n; s++) {
-                    const auto sym = static_cast<comp::LbeSymbol>(s);
-                    rec.metric(std::string("sym_") +
-                                   comp::LbeStats::name(sym),
-                               total == 0 ? 0.0 : weighted[s] / total);
-                }
-                rec.metric("zero_frac",
-                           total == 0 ? 0.0 : zero / total);
-                return rec;
-            }});
+const char *
+symbolName(int s)
+{
+    return comp::LbeStats::name(static_cast<comp::LbeSymbol>(s));
+}
+
+/** The data-weighted share of each LBE symbol, and of zero data. */
+RunRecord
+fig7Read(sim::System &sys, const sim::RunResult &)
+{
+    auto *lc = dynamic_cast<core::LogCache *>(&sys.llc());
+    const comp::LbeStats st = lc->lbeStats();
+    double total = 0, zero = 0, weighted[kLbeSymbols];
+    for (int s = 0; s < kLbeSymbols; s++) {
+        const auto sym = static_cast<comp::LbeSymbol>(s);
+        weighted[s] = static_cast<double>(st.count[s]) *
+                      comp::LbeStats::dataBytes(sym);
+        total += weighted[s];
+        zero += static_cast<double>(st.zeroCount[s]) *
+                comp::LbeStats::dataBytes(sym);
     }
-    return tasks;
+    RunRecord rec;
+    for (int s = 0; s < kLbeSymbols; s++)
+        rec.metric(std::string("sym_") + symbolName(s),
+                   total == 0 ? 0.0 : weighted[s] / total);
+    rec.metric("zero_frac", total == 0 ? 0.0 : zero / total);
+    return rec;
 }
 
 void
-fig7Present(const Report &rep)
+fig7Present(const Grid &g)
 {
-    constexpr int n = static_cast<int>(comp::LbeSymbol::NumSymbols);
     std::printf("%-10s", "bench");
-    for (int s = 0; s < n; s++)
-        std::printf(" %6s",
-                    comp::LbeStats::name(static_cast<comp::LbeSymbol>(s)));
+    for (int s = 0; s < kLbeSymbols; s++)
+        std::printf(" %6s", symbolName(s));
     std::printf("   zero%%\n");
-    for (const auto &spec : trace::spec2006()) {
-        const auto *r = rep.find(k({"fig7", spec.name}));
-        std::printf("%-10s", spec.name.c_str());
-        for (int s = 0; s < n; s++) {
+    for (std::size_t w = 0; w < g.size(0); w++) {
+        const RunRecord &r = g.at({w});
+        std::printf("%-10s", g.name(0, w));
+        for (int s = 0; s < kLbeSymbols; s++)
             std::printf(" %5.1f%%",
-                        100.0 * r->get(std::string("sym_") +
-                                       comp::LbeStats::name(
-                                           static_cast<comp::LbeSymbol>(
-                                               s))));
-        }
-        std::printf("  %5.1f%%\n", 100.0 * r->get("zero_frac"));
+                        100.0 * r.get(std::string("sym_") + symbolName(s)));
+        std::printf("  %5.1f%%\n", 100.0 * r.get("zero_frac"));
     }
 }
 
@@ -556,43 +586,8 @@ fig7Present(const Report &rep)
 // Figure 8: multi-program mixes
 // ------------------------------------------------------------------
 
-std::vector<Task>
-fig8Tasks()
-{
-    std::vector<Task> tasks;
-    for (const auto &mix : trace::table6Workloads()) {
-        for (sim::Scheme s : kCompared) {
-            tasks.push_back(Task{
-                k({"fig8", mix.name, schemeName(s)}),
-                [mix, s](std::uint64_t) -> RunRecord {
-                    // Multi-program runs cost 16x per instruction
-                    // budget; scale down as the serial bench did.
-                    const std::uint64_t instr = instrBudget() / 4;
-                    const std::uint64_t warmup = warmupBudget() / 4;
-                    sim::SystemConfig cfg;
-                    cfg.scheme = s;
-                    cfg.numCores = 16;
-                    cfg.bandwidthPerCore = 100e6; // 1600 MB/s total
-                    cfg.interleaveQuantum = 1;
-                    cfg.ratioSampleInterval =
-                        std::max<std::uint64_t>(instr, 100'000);
-                    std::vector<trace::BenchmarkSpec> programs;
-                    for (const auto &name : mix.programs)
-                        programs.push_back(
-                            trace::resolveWorkload(name));
-                    RunRecord rec =
-                        simRecord(cfg, programs, instr, warmup);
-                    rec.label("mix", mix.name);
-                    rec.label("scheme", schemeName(s));
-                    return rec;
-                }});
-        }
-    }
-    return tasks;
-}
-
 void
-fig8Present(const Report &rep)
+fig8Present(const Grid &g)
 {
     constexpr int kN = 5;
     std::printf("%-4s | ratio: %-23s | BW-red%%: %-23s | IPC+%%: %-23s | "
@@ -600,12 +595,11 @@ fig8Present(const Report &rep)
                 "mix", "A     D     S     M", "A     D     S     M",
                 "A     D     S     M");
     std::vector<double> ratios[kN];
-    for (const auto &mix : trace::table6Workloads()) {
+    for (std::size_t m = 0; m < g.size(0); m++) {
         const RunRecord *r[kN];
         for (int i = 0; i < kN; i++)
-            r[i] = rep.find(
-                k({"fig8", mix.name, schemeName(kCompared[i])}));
-        std::printf("%-4s |", mix.name.c_str());
+            r[i] = &g.at({m, std::size_t(i)});
+        std::printf("%-4s |", g.name(0, m));
         for (int i = 1; i < kN; i++)
             std::printf(" %5.2f", r[i]->get("ratio"));
         std::printf(" |");
@@ -631,7 +625,7 @@ fig8Present(const Report &rep)
     }
     std::printf("\n");
     for (int i = 1; i < kN; i++)
-        printMeans(schemeName(kCompared[i]), ratios[i]);
+        printMeans(g.name(1, i), ratios[i]);
 }
 
 // ------------------------------------------------------------------
@@ -643,48 +637,34 @@ const sim::Scheme kEnergySchemes[] = {
     sim::Scheme::Adaptive, sim::Scheme::Decoupled, sim::Scheme::Sc2,
     sim::Scheme::Morc};
 
-std::vector<Task>
-fig9Tasks()
-{
-    std::vector<Task> tasks;
-    for (const auto &spec : trace::spec2006())
-        for (sim::Scheme s : kEnergySchemes)
-            tasks.push_back(singleTask(
-                k({"fig9", spec.name, schemeName(s)}), s, spec));
-    return tasks;
-}
-
 void
-fig9Present(const Report &rep)
+fig9Present(const Grid &g)
 {
     constexpr int kN = 6;
     std::printf("%-10s | energy (mJ): %-41s | MORC breakdown (norm. to "
                 "baseline total)\n",
                 "bench", "Unc   Unc8x Adapt Decpl SC2   MORC");
     std::vector<double> norm[kN];
-    for (const auto &spec : trace::spec2006()) {
-        const RunRecord *r[kN];
-        for (int i = 0; i < kN; i++)
-            r[i] = rep.find(
-                k({"fig9", spec.name, schemeName(kEnergySchemes[i])}));
-        const double base = r[0]->get("energy_total");
-        std::printf("%-10s |", spec.name.c_str());
+    for (std::size_t w = 0; w < g.size(0); w++) {
+        const double base = g.at({w, 0}).get("energy_total");
+        std::printf("%-10s |", g.name(0, w));
         for (int i = 0; i < kN; i++) {
-            std::printf(" %5.2f", 1e3 * r[i]->get("energy_total"));
-            norm[i].push_back(r[i]->get("energy_total") / base);
+            const double e = g.at({w, std::size_t(i)}).get("energy_total");
+            std::printf(" %5.2f", 1e3 * e);
+            norm[i].push_back(e / base);
         }
-        const RunRecord *m = r[5];
+        const RunRecord &m = g.at({w, 5});
         std::printf(" | static %.2f dram %.2f sram %.2f comp %.3f "
                     "decomp %.3f\n",
-                    m->get("energy_static") / base,
-                    m->get("energy_dram") / base,
-                    m->get("energy_sram") / base,
-                    m->get("energy_comp") / base,
-                    m->get("energy_decomp") / base);
+                    m.get("energy_static") / base,
+                    m.get("energy_dram") / base,
+                    m.get("energy_sram") / base,
+                    m.get("energy_comp") / base,
+                    m.get("energy_decomp") / base);
     }
     std::printf("\nNormalized energy vs uncompressed (GMean):\n");
     for (int i = 0; i < kN; i++)
-        std::printf("%-14s %+6.1f%%\n", schemeName(kEnergySchemes[i]),
+        std::printf("%-14s %+6.1f%%\n", g.name(1, i),
                     100.0 * (stats::gmean(norm[i]) - 1.0));
 }
 
@@ -702,40 +682,25 @@ bwLabel(double bw)
     return label;
 }
 
-std::vector<Task>
-fig10Tasks()
-{
-    std::vector<Task> tasks;
-    for (double bw : kBandwidths)
-        for (const auto &spec : trace::spec2006())
-            for (sim::Scheme s : kCompared)
-                tasks.push_back(singleTask(
-                    k({"fig10", bwLabel(bw), spec.name, schemeName(s)}),
-                    s, spec, bw));
-    return tasks;
-}
-
 void
-fig10Present(const Report &rep)
+fig10Present(const Grid &g)
 {
     constexpr int kN = 5;
     std::printf("%-10s | normalized IPC: %-23s | normalized throughput: "
                 "%s\n",
                 "BW/thread", "A     D     S     M", "A     D     S     M");
-    for (double bw : kBandwidths) {
+    for (std::size_t b = 0; b < g.size(0); b++) {
         std::vector<double> ipc[kN], thr[kN];
-        for (const auto &spec : trace::spec2006()) {
-            const RunRecord *r[kN];
-            for (int i = 0; i < kN; i++)
-                r[i] = rep.find(k({"fig10", bwLabel(bw), spec.name,
-                                   schemeName(kCompared[i])}));
+        for (std::size_t w = 0; w < g.size(1); w++) {
+            const RunRecord &u = g.at({b, w, 0});
             for (int i = 0; i < kN; i++) {
-                ipc[i].push_back(r[i]->get("ipc") / r[0]->get("ipc"));
-                thr[i].push_back(r[i]->get("throughput") /
-                                 r[0]->get("throughput"));
+                const RunRecord &r = g.at({b, w, std::size_t(i)});
+                ipc[i].push_back(r.get("ipc") / u.get("ipc"));
+                thr[i].push_back(r.get("throughput") /
+                                 u.get("throughput"));
             }
         }
-        std::printf("%-10s |", bwLabel(bw).c_str());
+        std::printf("%-10s |", g.name(0, b));
         for (int i = 1; i < kN; i++)
             std::printf(" %5.2f", stats::gmean(ipc[i]));
         std::printf(" |");
@@ -753,53 +718,27 @@ const std::uint64_t kLlcSizes[] = {64ull << 10, 128ull << 10,
                                    256ull << 10, 1024ull << 10,
                                    4096ull << 10};
 
-std::vector<Task>
-fig11Tasks()
-{
-    std::vector<Task> tasks;
-    for (std::uint64_t size : kLlcSizes) {
-        // Caches much larger than 128KB need proportionally longer
-        // warm-up to fill; bounded to keep the default sweep affordable.
-        const unsigned scale = static_cast<unsigned>(
-            std::min<std::uint64_t>(
-                std::max<std::uint64_t>(size / (128 * 1024), 1), 2));
-        for (const auto &spec : trace::spec2006()) {
-            for (sim::Scheme s :
-                 {sim::Scheme::Uncompressed, sim::Scheme::Morc}) {
-                tasks.push_back(singleTask(
-                    k({"fig11", std::to_string(size >> 10) + "KB",
-                       spec.name, schemeName(s)}),
-                    s, spec, 100e6, size, nullptr, scale));
-            }
-        }
-    }
-    return tasks;
-}
-
 void
-fig11Present(const Report &rep)
+fig11Present(const Grid &g)
 {
     std::printf("%-10s %14s %16s %22s\n", "LLC size", "MORC ratio",
                 "norm. bandwidth", "norm. throughput");
-    for (std::uint64_t size : kLlcSizes) {
+    for (std::size_t s = 0; s < g.size(0); s++) {
         std::vector<double> ratio, thr;
         double gb_base = 0, gb_morc = 0;
-        const std::string sz = std::to_string(size >> 10) + "KB";
-        for (const auto &spec : trace::spec2006()) {
-            const auto *base =
-                rep.find(k({"fig11", sz, spec.name, "Uncompressed"}));
-            const auto *m = rep.find(k({"fig11", sz, spec.name, "MORC"}));
-            ratio.push_back(m->get("ratio"));
+        for (std::size_t w = 0; w < g.size(1); w++) {
+            const RunRecord &base = g.at({s, w, 0});
+            const RunRecord &m = g.at({s, w, 1});
+            ratio.push_back(m.get("ratio"));
             // Aggregate traffic, not a mean of per-benchmark ratios:
             // workloads that fit in-cache have near-zero baselines and
             // would dominate a ratio mean with noise.
-            gb_base += base->get("gb_per_binstr");
-            gb_morc += m->get("gb_per_binstr");
-            thr.push_back(m->get("throughput") /
-                          base->get("throughput"));
+            gb_base += base.get("gb_per_binstr");
+            gb_morc += m.get("gb_per_binstr");
+            thr.push_back(m.get("throughput") / base.get("throughput"));
         }
         std::printf("%7lluKB %14.2f %16.2f %22.2f\n",
-                    static_cast<unsigned long long>(size >> 10),
+                    static_cast<unsigned long long>(kLlcSizes[s] >> 10),
                     stats::amean(ratio), gb_morc / gb_base,
                     stats::gmean(thr));
     }
@@ -809,51 +748,20 @@ fig11Present(const Report &rep)
 // Figure 12: write-back-induced invalid lines
 // ------------------------------------------------------------------
 
-std::vector<Task>
-fig12Tasks()
-{
-    std::vector<Task> tasks;
-    for (const auto &spec : trace::spec2006()) {
-        for (bool inclusive : {true, false}) {
-            tasks.push_back(Task{
-                k({"fig12", spec.name,
-                   inclusive ? "inclusive" : "non-inclusive"}),
-                [spec, inclusive](std::uint64_t) -> RunRecord {
-                    sim::SystemConfig cfg;
-                    cfg.scheme = sim::Scheme::Morc;
-                    cfg.useMorcOverride = true;
-                    cfg.morc.compressionEnabled = false;
-                    cfg.inclusiveWriteFills = inclusive;
-                    cfg.ratioSampleInterval = instrBudget();
-                    RunRecord rec = simRecord(
-                        cfg, {spec}, instrBudget(), warmupBudget());
-                    rec.label("workload", spec.name);
-                    rec.label("fill_policy", inclusive
-                                                 ? "inclusive"
-                                                 : "non-inclusive");
-                    return rec;
-                }});
-        }
-    }
-    return tasks;
-}
+const char *const kFillPolicies[] = {"inclusive", "non-inclusive"};
 
 void
-fig12Present(const Report &rep)
+fig12Present(const Grid &g)
 {
     std::vector<double> inc, non;
     std::printf("%-10s %12s %14s\n", "bench", "inclusive%",
                 "non-inclusive%");
-    for (const auto &spec : trace::spec2006()) {
-        const double i =
-            100.0 * rep.metric(k({"fig12", spec.name, "inclusive"}),
-                               "invalid_frac");
-        const double n =
-            100.0 * rep.metric(k({"fig12", spec.name, "non-inclusive"}),
-                               "invalid_frac");
+    for (std::size_t w = 0; w < g.size(0); w++) {
+        const double i = 100.0 * g.at({w, 0}).get("invalid_frac");
+        const double n = 100.0 * g.at({w, 1}).get("invalid_frac");
         inc.push_back(i);
         non.push_back(n);
-        std::printf("%-10s %11.1f%% %13.1f%%\n", spec.name.c_str(), i, n);
+        std::printf("%-10s %11.1f%% %13.1f%%\n", g.name(0, w), i, n);
     }
     std::printf("%-10s %11.1f%% %13.1f%%\n", "AMean", stats::amean(inc),
                 stats::amean(non));
@@ -865,67 +773,33 @@ fig12Present(const Report &rep)
 
 const unsigned kLogSizes[] = {64, 256, 512, 1024, 2048, 4096};
 const unsigned kLogCounts[] = {1, 4, 8, 16, 32, 64};
+constexpr std::size_t kNumLogSizes = std::size(kLogSizes);
 // A representative subset keeps the sweep affordable.
-const char *kFig13Subset[] = {"astar",  "gcc",    "mcf",    "omnetpp",
-                              "soplex", "zeusmp", "gamess", "cactusADM"};
-
-Task
-fig13Task(std::string key, const trace::BenchmarkSpec &spec,
-          unsigned log_bytes, unsigned active_logs)
-{
-    core::MorcConfig morc;
-    morc.logBytes = log_bytes;
-    morc.activeLogs = active_logs;
-    morc.unlimitedMeta = true;
-    return singleTask(std::move(key), sim::Scheme::Morc, spec, 100e6,
-                      128 * 1024, &morc);
-}
-
-std::vector<Task>
-fig13Tasks()
-{
-    std::vector<Task> tasks;
-    for (const char *name : kFig13Subset) {
-        const auto spec = trace::resolveWorkload(name);
-        for (unsigned s : kLogSizes)
-            tasks.push_back(fig13Task(
-                k({"fig13", name, "logbytes" + std::to_string(s)}),
-                spec, s, 8));
-        for (unsigned c : kLogCounts)
-            tasks.push_back(fig13Task(
-                k({"fig13", name, "logs" + std::to_string(c)}), spec,
-                512, c));
-    }
-    return tasks;
-}
+const char *const kFig13Subset[] = {"astar",   "gcc",    "mcf",
+                                    "omnetpp", "soplex", "zeusmp",
+                                    "gamess",  "cactusADM"};
 
 void
-fig13Present(const Report &rep)
+fig13Present(const Grid &g)
 {
     std::printf("(a) log size sweep, 8 active logs\n%-10s", "bench");
     for (unsigned s : kLogSizes)
         std::printf(" %6uB", s);
     std::printf("\n");
-    for (const char *name : kFig13Subset) {
-        std::printf("%-10s", name);
-        for (unsigned s : kLogSizes)
-            std::printf(" %7.2f",
-                        rep.metric(k({"fig13", name,
-                                      "logbytes" + std::to_string(s)}),
-                                   "ratio"));
+    for (std::size_t w = 0; w < g.size(0); w++) {
+        std::printf("%-10s", g.name(0, w));
+        for (std::size_t j = 0; j < kNumLogSizes; j++)
+            std::printf(" %7.2f", g.at({w, j}).get("ratio"));
         std::printf("\n");
     }
     std::printf("\n(b) active-log sweep, 512B logs\n%-10s", "bench");
     for (unsigned c : kLogCounts)
         std::printf(" %6u", c);
     std::printf("\n");
-    for (const char *name : kFig13Subset) {
-        std::printf("%-10s", name);
-        for (unsigned c : kLogCounts)
-            std::printf(" %6.2f",
-                        rep.metric(k({"fig13", name,
-                                      "logs" + std::to_string(c)}),
-                                   "ratio"));
+    for (std::size_t w = 0; w < g.size(0); w++) {
+        std::printf("%-10s", g.name(0, w));
+        for (std::size_t j = kNumLogSizes; j < g.size(1); j++)
+            std::printf(" %6.2f", g.at({w, j}).get("ratio"));
         std::printf("\n");
     }
 }
@@ -942,69 +816,42 @@ const std::vector<std::uint64_t> kFig14Bounds = {64,  128, 196, 256,
 const std::vector<std::uint64_t> kFig14LatencyBounds = {
     16, 24, 32, 48, 64, 96, 128, 192, 256};
 
-std::vector<Task>
-fig14Tasks()
+Run
+fig14Point(const Point &p)
 {
-    std::vector<Task> tasks;
-    for (const auto &spec : trace::spec2006()) {
-        tasks.push_back(Task{
-            k({"fig14", spec.name}),
-            [spec](std::uint64_t) -> RunRecord {
-                stats::Histogram hist(kFig14Bounds);
-                stats::Histogram latHist(kFig14LatencyBounds);
-                sim::SystemConfig cfg;
-                cfg.scheme = sim::Scheme::Morc;
-                cfg.decompressedBytesHistogram = &hist;
-                cfg.hitLatencyHistogram = &latHist;
-                cfg.ratioSampleInterval = instrBudget();
-                const std::vector<trace::BenchmarkSpec> progs{spec};
-                auto sys = std::make_unique<sim::System>(cfg, progs);
-                runSystem(sys, cfg, progs, instrBudget(),
-                          warmupBudget());
-                RunRecord rec;
-                rec.label("workload", spec.name);
-                rec.histograms.emplace_back("log_position_bytes", hist);
-                rec.histograms.emplace_back("hit_latency_cycles",
-                                            latHist);
-                return rec;
-            }});
-    }
-    return tasks;
+    Run run = morcInternals(trace::spec2006()[p[0]]);
+    // The System fills the histograms through the config's pointers;
+    // the reader owns them until the record has copied them.
+    auto pos = std::make_shared<stats::Histogram>(kFig14Bounds);
+    auto lat = std::make_shared<stats::Histogram>(kFig14LatencyBounds);
+    run.cfg.decompressedBytesHistogram = pos.get();
+    run.cfg.hitLatencyHistogram = lat.get();
+    run.read = [pos, lat](sim::System &, const sim::RunResult &) {
+        RunRecord rec;
+        rec.histograms.emplace_back("log_position_bytes", *pos);
+        rec.histograms.emplace_back("hit_latency_cycles", *lat);
+        return rec;
+    };
+    return run;
 }
 
 void
-fig14Present(const Report &rep)
+fig14Present(const Grid &g)
 {
-    {
-        stats::Histogram proto(kFig14Bounds);
-        std::printf("%-10s", "bench");
-        for (std::size_t i = 0; i < proto.numBuckets(); i++)
-            std::printf(" %8s", proto.label(i).c_str());
+    for (std::size_t h = 0; h < 2; h++) {
+        std::printf("%s%-10s", h == 0 ? "" : "\nhit latency (cycles):\n",
+                    "bench");
+        const stats::Histogram &labels = g.at({0}).histograms[h].second;
+        for (std::size_t i = 0; i < labels.numBuckets(); i++)
+            std::printf(" %8s", labels.label(i).c_str());
         std::printf("\n");
-    }
-    for (const auto &spec : trace::spec2006()) {
-        const auto *r = rep.find(k({"fig14", spec.name}));
-        const stats::Histogram &hist = r->histograms.front().second;
-        std::printf("%-10s", spec.name.c_str());
-        for (std::size_t i = 0; i < hist.numBuckets(); i++)
-            std::printf("   %5.1f%%", 100.0 * hist.fraction(i));
-        std::printf("\n");
-    }
-    std::printf("\nhit latency (cycles):\n");
-    {
-        stats::Histogram proto(kFig14LatencyBounds);
-        std::printf("%-10s", "bench");
-        for (std::size_t i = 0; i < proto.numBuckets(); i++)
-            std::printf(" %8s", proto.label(i).c_str());
-        std::printf("\n");
-    }
-    for (const auto &spec : trace::spec2006()) {
-        const auto *r = rep.find(k({"fig14", spec.name}));
-        const stats::Histogram &hist = r->histograms.back().second;
-        std::printf("%-10s", spec.name.c_str());
-        for (std::size_t i = 0; i < hist.numBuckets(); i++)
-            std::printf("   %5.1f%%", 100.0 * hist.fraction(i));
-        std::printf("\n");
+        for (std::size_t w = 0; w < g.size(0); w++) {
+            const stats::Histogram &hist = g.at({w}).histograms[h].second;
+            std::printf("%-10s", g.name(0, w));
+            for (std::size_t i = 0; i < hist.numBuckets(); i++)
+                std::printf("   %5.1f%%", 100.0 * hist.fraction(i));
+            std::printf("\n");
+        }
     }
 }
 
@@ -1012,31 +859,20 @@ fig14Present(const Report &rep)
 // Figure 15: separate vs merged tag/data logs
 // ------------------------------------------------------------------
 
-std::vector<Task>
-fig15Tasks()
-{
-    std::vector<Task> tasks;
-    for (const auto &spec : trace::spec2006())
-        for (sim::Scheme s :
-             {sim::Scheme::Morc, sim::Scheme::MorcMerged})
-            tasks.push_back(singleTask(
-                k({"fig15", spec.name, schemeName(s)}), s, spec));
-    return tasks;
-}
+const sim::Scheme kTagLogSchemes[] = {sim::Scheme::Morc,
+                                      sim::Scheme::MorcMerged};
 
 void
-fig15Present(const Report &rep)
+fig15Present(const Grid &g)
 {
     std::vector<double> base, merged;
     std::printf("%-10s %10s %12s\n", "bench", "MORC", "MORCMerged");
-    for (const auto &spec : trace::spec2006()) {
-        const double r0 =
-            rep.metric(k({"fig15", spec.name, "MORC"}), "ratio");
-        const double r1 =
-            rep.metric(k({"fig15", spec.name, "MORCMerged"}), "ratio");
+    for (std::size_t w = 0; w < g.size(0); w++) {
+        const double r0 = g.at({w, 0}).get("ratio");
+        const double r1 = g.at({w, 1}).get("ratio");
         base.push_back(r0);
         merged.push_back(r1);
-        std::printf("%-10s %10.2f %12.2f\n", spec.name.c_str(), r0, r1);
+        std::printf("%-10s %10.2f %12.2f\n", g.name(0, w), r0, r1);
     }
     printMeans("MORC", base);
     printMeans("MORCMerged", merged);
@@ -1046,24 +882,13 @@ fig15Present(const Report &rep)
 // Table 1: energy constants
 // ------------------------------------------------------------------
 
-std::vector<Task>
-table1Tasks()
-{
-    return {Task{"table1/constants", [](std::uint64_t) -> RunRecord {
-                     RunRecord rec;
-                     for (const auto &row : energy::table1())
-                         rec.metric(row.operation, row.joules);
-                     return rec;
-                 }}};
-}
-
 void
-table1Present(const Report &rep)
+table1Present(const Grid &g)
 {
-    const auto *rec = rep.find("table1/constants");
+    const RunRecord &rec = g.at({0});
     std::printf("%-40s %12s %10s\n", "Operation", "Energy", "Scale");
-    const double base = rec->metrics.front().second;
-    for (const auto &[op, joules] : rec->metrics) {
+    const double base = rec.metrics.front().second;
+    for (const auto &[op, joules] : rec.metrics) {
         char buf[32];
         if (joules < 1e-9)
             std::snprintf(buf, sizeof(buf), "%.2fpJ", joules * 1e12);
@@ -1080,39 +905,32 @@ table1Present(const Report &rep)
 // Table 4: storage overheads
 // ------------------------------------------------------------------
 
-std::vector<Task>
-table4Tasks()
+RunRecord
+table4Record(const Point &p, std::uint64_t)
 {
-    std::vector<Task> tasks;
-    for (const auto &row : cache::table4Overheads()) {
-        tasks.push_back(Task{
-            k({"table4", row.scheme}), [row](std::uint64_t) -> RunRecord {
-                RunRecord rec;
-                rec.label("scheme", row.scheme);
-                rec.metric("extra_tags_frac", row.extraTagsFrac);
-                rec.metric("metadata_frac", row.metadataFrac);
-                rec.metric("total_frac", row.totalFrac);
-                rec.metric("comp_engine_mm2", row.compEngineMm2);
-                rec.metric("dict_bytes",
-                           static_cast<double>(row.dictBytes));
-                return rec;
-            }});
-    }
-    return tasks;
+    const cache::OverheadReport row = cache::table4Overheads()[p[0]];
+    RunRecord rec;
+    rec.label("scheme", row.scheme);
+    rec.metric("extra_tags_frac", row.extraTagsFrac);
+    rec.metric("metadata_frac", row.metadataFrac);
+    rec.metric("total_frac", row.totalFrac);
+    rec.metric("comp_engine_mm2", row.compEngineMm2);
+    rec.metric("dict_bytes", static_cast<double>(row.dictBytes));
+    return rec;
 }
 
 void
-table4Present(const Report &rep)
+table4Present(const Grid &g)
 {
     std::printf("(128KB cache, 40b tags, 16-way sets for prior work, "
                 "512B logs, 8x LMT)\n\n");
     std::printf("%-12s %9s %9s %11s %9s %9s\n", "Scheme", "Tags",
                 "Metadata", "Tags+Meta", "Engine", "Dict");
-    for (const auto &row : cache::table4Overheads()) {
-        const auto *r = rep.find(k({"table4", row.scheme}));
-        const double engineMm2 = r->get("comp_engine_mm2");
+    for (std::size_t s = 0; s < g.size(0); s++) {
+        const RunRecord &r = g.at({s});
+        const double engineMm2 = r.get("comp_engine_mm2");
         const unsigned dictBytes =
-            static_cast<unsigned>(r->get("dict_bytes"));
+            static_cast<unsigned>(r.get("dict_bytes"));
         char engine[16];
         if (engineMm2 > 0)
             std::snprintf(engine, sizeof(engine), "%.2fmm2", engineMm2);
@@ -1124,9 +942,9 @@ table4Present(const Report &rep)
         else
             std::snprintf(dict, sizeof(dict), "%uB", dictBytes);
         std::printf("%-12s %8.2f%% %8.2f%% %10.2f%% %9s %9s\n",
-                    row.scheme.c_str(), 100 * r->get("extra_tags_frac"),
-                    100 * r->get("metadata_frac"),
-                    100 * r->get("total_frac"), engine, dict);
+                    g.name(0, s), 100 * r.get("extra_tags_frac"),
+                    100 * r.get("metadata_frac"),
+                    100 * r.get("total_frac"), engine, dict);
     }
     std::printf("\nPaper row 'Tags+Meta': 18.74%% / 8.59%% / 33.58%% / "
                 "25.00%% / 17.18%%\n");
@@ -1136,119 +954,96 @@ table4Present(const Report &rep)
 // Ablation: stream/line codecs on identical fill streams
 // ------------------------------------------------------------------
 
-std::vector<Task>
-ablationTasks()
+const unsigned kTagBases[] = {1, 2};
+
+RunRecord
+codecRecord(const trace::BenchmarkSpec &spec, std::uint64_t seed)
 {
-    std::vector<Task> tasks;
-    for (const auto &spec : trace::spec2006()) {
-        tasks.push_back(Task{
-            k({"ablation", spec.name}),
-            [spec](std::uint64_t seed) -> RunRecord {
-                trace::ValueModel vm(spec.data);
-                Rng rng(seed);
-                const std::uint64_t ws_lines =
-                    spec.access.wsBytes / kLineSize;
-                comp::LbeEncoder lbe;
-                comp::LzssEncoder lz;
-                comp::CpackEncoder cpack_stream(512); // same dict budget
-                std::uint64_t b_lbe = 0, b_lz = 0, b_cp = 0, b_fpc = 0,
-                              b_bdi = 0;
-                std::uint64_t log_lbe = 0, log_lz = 0, log_cp = 0;
-                int n = 0;
-                for (int burst = 0; burst < 120; burst++) {
-                    const std::uint64_t base =
-                        rng.below(ws_lines) & ~15ull;
-                    for (int i = 0; i < 16; i++) {
-                        const CacheLine l = vm.line(base + i, 0);
-                        const auto add = [&](std::uint64_t &total,
-                                             std::uint64_t &log,
-                                             std::uint32_t bits,
-                                             auto &enc) {
-                            total += bits;
-                            log += bits;
-                            if (log > 4096) { // 512B log flush
-                                enc.reset();
-                                log = 0;
-                            }
-                        };
-                        add(b_lbe, log_lbe, lbe.append(l), lbe);
-                        add(b_lz, log_lz, lz.append(l), lz);
-                        add(b_cp, log_cp, cpack_stream.append(l),
-                            cpack_stream);
-                        b_fpc += comp::Fpc::lineBits(l);
-                        b_bdi += comp::Bdi::lineBits(l);
-                        n++;
-                    }
+    trace::ValueModel vm(spec.data);
+    Rng rng(seed);
+    const std::uint64_t ws_lines = spec.access.wsBytes / kLineSize;
+    comp::LbeEncoder lbe;
+    comp::LzssEncoder lz;
+    comp::CpackEncoder cpack_stream(512); // same dict budget
+    std::uint64_t b_lbe = 0, b_lz = 0, b_cp = 0, b_fpc = 0, b_bdi = 0;
+    std::uint64_t log_lbe = 0, log_lz = 0, log_cp = 0;
+    int n = 0;
+    for (int burst = 0; burst < 120; burst++) {
+        const std::uint64_t base = rng.below(ws_lines) & ~15ull;
+        for (int i = 0; i < 16; i++) {
+            const CacheLine l = vm.line(base + i, 0);
+            const auto add = [&](std::uint64_t &total, std::uint64_t &log,
+                                 std::uint32_t bits, auto &enc) {
+                total += bits;
+                log += bits;
+                if (log > 4096) { // 512B log flush
+                    enc.reset();
+                    log = 0;
                 }
-                const double raw = 512.0 * n;
-                RunRecord rec;
-                rec.label("workload", spec.name);
-                rec.metric("lbe", raw / b_lbe);
-                rec.metric("lzss", raw / b_lz);
-                rec.metric("cpack", raw / b_cp);
-                rec.metric("fpc", raw / b_fpc);
-                rec.metric("bdi", raw / b_bdi);
-                return rec;
-            }});
+            };
+            add(b_lbe, log_lbe, lbe.append(l), lbe);
+            add(b_lz, log_lz, lz.append(l), lz);
+            add(b_cp, log_cp, cpack_stream.append(l), cpack_stream);
+            b_fpc += comp::Fpc::lineBits(l);
+            b_bdi += comp::Bdi::lineBits(l);
+            n++;
+        }
     }
-    for (unsigned bases : {1u, 2u}) {
-        tasks.push_back(Task{
-            k({"ablation", "tagcodec",
-               std::to_string(bases) + "base"}),
-            [bases](std::uint64_t seed) -> RunRecord {
-                comp::TagCodec codec(bases);
-                Rng rng(seed);
-                std::uint64_t bits = 0;
-                std::uint64_t chain_a = 1'000'000,
-                              chain_b = 9'000'000;
-                const int n = 20000;
-                for (int i = 0; i < n; i++) {
-                    if (i & 1)
-                        bits += codec.append(chain_a +=
-                                             1 + rng.below(3));
-                    else
-                        bits += codec.append(chain_b +=
-                                             1 + rng.below(3));
-                }
-                RunRecord rec;
-                rec.label("bases", std::to_string(bases));
-                rec.metric("bits_per_tag",
-                           static_cast<double>(bits) / n);
-                return rec;
-            }});
+    const double raw = 512.0 * n;
+    RunRecord rec;
+    rec.label("workload", spec.name);
+    rec.metric("lbe", raw / b_lbe);
+    rec.metric("lzss", raw / b_lz);
+    rec.metric("cpack", raw / b_cp);
+    rec.metric("fpc", raw / b_fpc);
+    rec.metric("bdi", raw / b_bdi);
+    return rec;
+}
+
+RunRecord
+tagCodecRecord(unsigned bases, std::uint64_t seed)
+{
+    comp::TagCodec codec(bases);
+    Rng rng(seed);
+    std::uint64_t bits = 0;
+    std::uint64_t chain_a = 1'000'000, chain_b = 9'000'000;
+    const int n = 20000;
+    for (int i = 0; i < n; i++) {
+        if (i & 1)
+            bits += codec.append(chain_a += 1 + rng.below(3));
+        else
+            bits += codec.append(chain_b += 1 + rng.below(3));
     }
-    return tasks;
+    RunRecord rec;
+    rec.label("bases", std::to_string(bases));
+    rec.metric("bits_per_tag", static_cast<double>(bits) / n);
+    return rec;
 }
 
 void
-ablationPresent(const Report &rep)
+ablationPresent(const Grid &g)
 {
+    const std::size_t workloads = trace::spec2006().size();
+    const char *metric[] = {"lbe", "lzss", "cpack", "fpc", "bdi"};
+    const char *label[] = {"LBE", "LZSS", "C-Pack", "FPC", "BDI"};
+    std::vector<double> ratio[std::size(metric)];
     std::printf("%-10s %7s %7s %8s %7s %7s\n", "bench", "LBE", "LZSS",
                 "C-Packs", "FPC", "BDI");
-    std::vector<double> r_lbe, r_lz, r_cp, r_fpc, r_bdi;
-    for (const auto &spec : trace::spec2006()) {
-        const auto *r = rep.find(k({"ablation", spec.name}));
-        std::printf("%-10s %7.2f %7.2f %8.2f %7.2f %7.2f\n",
-                    spec.name.c_str(), r->get("lbe"), r->get("lzss"),
-                    r->get("cpack"), r->get("fpc"), r->get("bdi"));
-        r_lbe.push_back(r->get("lbe"));
-        r_lz.push_back(r->get("lzss"));
-        r_cp.push_back(r->get("cpack"));
-        r_fpc.push_back(r->get("fpc"));
-        r_bdi.push_back(r->get("bdi"));
+    for (std::size_t w = 0; w < workloads; w++) {
+        for (std::size_t c = 0; c < std::size(metric); c++)
+            ratio[c].push_back(g.at({w}).get(metric[c]));
+        std::printf("%-10s %7.2f %7.2f %8.2f %7.2f %7.2f\n", g.name(0, w),
+                    ratio[0].back(), ratio[1].back(), ratio[2].back(),
+                    ratio[3].back(), ratio[4].back());
     }
-    printMeans("LBE", r_lbe);
-    printMeans("LZSS", r_lz);
-    printMeans("C-Pack", r_cp);
-    printMeans("FPC", r_fpc);
-    printMeans("BDI", r_bdi);
+    for (std::size_t c = 0; c < std::size(metric); c++)
+        printMeans(label[c], ratio[c]);
 
     std::printf("\nTag codec: interleaved fill + write-back chains\n");
-    for (unsigned bases : {1u, 2u}) {
-        std::printf("  %u base(s): %.1f bits/tag (vs %u raw)\n", bases,
-                    rep.metric(k({"ablation", "tagcodec",
-                                  std::to_string(bases) + "base"}),
-                               "bits_per_tag"),
+    for (std::size_t b = 0; b < std::size(kTagBases); b++) {
+        std::printf("  %u base(s): %.1f bits/tag (vs %u raw)\n",
+                    kTagBases[b],
+                    g.at({workloads + b}).get("bits_per_tag"),
                     comp::TagCodec::kFullTagBits + 2);
     }
 }
@@ -1263,86 +1058,47 @@ const unsigned kMeshDims[] = {1, 2, 4, 8};
 /** Tile workloads, assigned round-robin across cores. */
 const char *const kMeshPrograms[] = {"gcc", "mcf", "omnetpp", "soplex"};
 
-std::vector<Task>
-meshTasks()
+Run
+meshPoint(const Point &p)
 {
-    std::vector<Task> tasks;
-    for (unsigned dim : kMeshDims) {
-        for (sim::Scheme s :
-             {sim::Scheme::Uncompressed, sim::Scheme::Morc}) {
-            const unsigned tiles = dim * dim;
-            tasks.push_back(Task{
-                k({"mesh", std::to_string(tiles) + "t", schemeName(s)}),
-                [dim, s, tiles](std::uint64_t) -> RunRecord {
-                    // Total off-chip bandwidth is held at 1600 MB/s
-                    // regardless of tile count, so scaling stresses the
-                    // shared memory system exactly as the paper's
-                    // manycore argument requires.
-                    const std::uint64_t instr = std::max<std::uint64_t>(
-                        instrBudget() / 8, 10'000);
-                    const std::uint64_t warmup =
-                        std::max<std::uint64_t>(warmupBudget() / 8,
-                                                10'000);
-                    sim::SystemConfig cfg;
-                    cfg.scheme = s;
-                    cfg.useMesh = true;
-                    cfg.meshCfg.width = dim;
-                    cfg.meshCfg.height = dim;
-                    cfg.meshCfg.memControllers = std::max(1u, dim / 2);
-                    cfg.numCores = tiles;
-                    cfg.bandwidthPerCore = 1600e6 / tiles;
-                    cfg.llcBytesPerCore = 128 * 1024;
-                    cfg.interleaveQuantum = 1;
-                    cfg.ratioSampleInterval =
-                        std::max<std::uint64_t>(instr, 100'000);
-                    std::vector<trace::BenchmarkSpec> programs;
-                    for (unsigned c = 0; c < tiles; c++)
-                        programs.push_back(trace::resolveWorkload(
-                            kMeshPrograms[c % 4]));
-                    RunRecord rec =
-                        simRecord(cfg, programs, instr, warmup);
-                    rec.label("tiles", std::to_string(tiles));
-                    rec.label("mesh", std::to_string(dim) + "x" +
-                                          std::to_string(dim));
-                    rec.label("scheme", schemeName(s));
-                    // mean_throughput is already per-core (per-tile)
-                    // normalized; sys_ipc_per_tile is the raw
-                    // aggregate-rate analogue.
-                    rec.metric("sys_ipc_per_tile",
-                               rec.get("instructions") /
-                                   std::max(1.0,
-                                            rec.get("completion_cycles")) /
-                                   tiles);
-                    return rec;
-                }});
-        }
-    }
-    return tasks;
+    const unsigned dim = kMeshDims[p[0]];
+    const unsigned tiles = dim * dim;
+    std::vector<std::string> programs;
+    for (unsigned c = 0; c < tiles; c++)
+        programs.push_back(kMeshPrograms[c % 4]);
+    Run run = multi(programs, kUncompressedVsMorc[p[1]], 8, 10'000);
+    // Total off-chip bandwidth is held at 1600 MB/s regardless of tile
+    // count, so scaling stresses the shared memory system exactly as
+    // the paper's manycore argument requires.
+    run.cfg.bandwidthPerCore = 1600e6 / tiles;
+    run.cfg.useMesh = true;
+    run.cfg.meshCfg.width = dim;
+    run.cfg.meshCfg.height = dim;
+    run.cfg.meshCfg.memControllers = std::max(1u, dim / 2);
+    run.labels = {{"tiles", std::to_string(tiles)},
+                  {"mesh", std::to_string(dim) + "x" + std::to_string(dim)},
+                  {"scheme", sim::schemeName(run.cfg.scheme)}};
+    return run;
 }
 
 void
-meshPresent(const Report &rep)
+meshPresent(const Grid &g)
 {
     std::printf("%-6s | thr/tile: %-20s | IPC/tile: %-20s | MORC: ratio "
                 "hops  messages\n",
                 "tiles", "Unc   MORC  MORC/Unc", "Unc   MORC  MORC/Unc");
-    for (unsigned dim : kMeshDims) {
-        const unsigned tiles = dim * dim;
-        const std::string t = std::to_string(tiles) + "t";
-        const auto *u = rep.find(k({"mesh", t, "Uncompressed"}));
-        const auto *m = rep.find(k({"mesh", t, "MORC"}));
+    for (std::size_t d = 0; d < g.size(0); d++) {
+        const RunRecord &u = g.at({d, 0});
+        const RunRecord &m = g.at({d, 1});
         std::printf("%-6u | %5.2f %5.2f %9.2f  | %5.2f %5.2f %9.2f  | "
                     "%10.2f %5.2f %9.0f\n",
-                    tiles, u->get("mean_throughput"),
-                    m->get("mean_throughput"),
-                    m->get("mean_throughput") /
-                        u->get("mean_throughput"),
-                    u->get("sys_ipc_per_tile"),
-                    m->get("sys_ipc_per_tile"),
-                    m->get("sys_ipc_per_tile") /
-                        u->get("sys_ipc_per_tile"),
-                    m->get("ratio"), m->get("noc_mean_hops"),
-                    m->get("noc_messages"));
+                    kMeshDims[d] * kMeshDims[d], u.get("mean_throughput"),
+                    m.get("mean_throughput"),
+                    m.get("mean_throughput") / u.get("mean_throughput"),
+                    u.get("sys_ipc_per_tile"), m.get("sys_ipc_per_tile"),
+                    m.get("sys_ipc_per_tile") / u.get("sys_ipc_per_tile"),
+                    m.get("ratio"), m.get("noc_mean_hops"),
+                    m.get("noc_messages"));
     }
 }
 
@@ -1361,7 +1117,7 @@ const sim::Scheme kKvSchemes[] = {sim::Scheme::Uncompressed,
 std::uint64_t
 kvRequests()
 {
-    return std::max<std::uint64_t>(instrBudget() / 8, 2'000);
+    return std::max<std::uint64_t>(g_instr / 8, 2'000);
 }
 
 /**
@@ -1392,7 +1148,7 @@ kvBaseConfig(sim::Scheme scheme)
 }
 
 /** Run one service config for @p requests and flatten it into a
- *  RunRecord. */
+ *  RunRecord labelled by the front cache's scheme. */
 RunRecord
 kvRecord(const kv::ServiceConfig &cfg, std::uint64_t requests)
 {
@@ -1400,6 +1156,7 @@ kvRecord(const kv::ServiceConfig &cfg, std::uint64_t requests)
     svc.run(requests);
 
     RunRecord rec;
+    rec.label("scheme", sim::schemeName(cfg.scheme));
     const cache::LlcStats &fs = svc.front().stats();
     const kv::TierStats &ts = svc.tiers().stats();
     const double reads = std::max<double>(1.0, double(fs.reads));
@@ -1449,51 +1206,48 @@ kvRecord(const kv::ServiceConfig &cfg, std::uint64_t requests)
     return rec;
 }
 
-std::vector<Task>
-kvServeTasks()
+/** Point @p i (0 = p50, 1 = p99, 2 = p99.9) of a KV run's latency over
+ *  all tenants; 0 when the run has none. */
+double
+allLatency(const RunRecord &r, std::size_t i)
 {
-    std::vector<Task> tasks;
-    for (sim::Scheme s : kKvSchemes) {
-        tasks.push_back(Task{
-            k({"kvserve", schemeName(s)}),
-            [s](std::uint64_t) -> RunRecord {
-                const kv::ServiceConfig cfg = kvBaseConfig(s);
-                RunRecord rec = kvRecord(cfg, kvRequests());
-                rec.label("scheme", schemeName(s));
-                rec.label("tenants",
-                          std::to_string(cfg.tenants.size()));
-                std::uint64_t keys = 0;
-                for (const auto &t : cfg.tenants)
-                    keys += t.keys;
-                rec.label("total_keys", std::to_string(keys));
-                return rec;
-            }});
+    for (const auto &[group, points] : r.percentiles) {
+        if (group == "latency.all")
+            return points[i].second;
     }
-    return tasks;
+    return 0.0;
+}
+
+RunRecord
+kvServeRecord(const Point &p, std::uint64_t)
+{
+    const kv::ServiceConfig cfg = kvBaseConfig(kKvSchemes[p[0]]);
+    RunRecord rec = kvRecord(cfg, kvRequests());
+    rec.label("tenants", std::to_string(cfg.tenants.size()));
+    std::uint64_t keys = 0;
+    for (const auto &t : cfg.tenants)
+        keys += t.keys;
+    rec.label("total_keys", std::to_string(keys));
+    return rec;
 }
 
 void
-kvServePresent(const Report &rep)
+kvServePresent(const Grid &g)
 {
     std::printf("%-13s | hit%%   hit%%/MB  ratio | p50    p99    p99.9"
                 "  | thr r/kcyc (soc/sea/feed/ana)\n",
                 "scheme");
-    for (sim::Scheme s : kKvSchemes) {
-        const auto *r = rep.find(k({"kvserve", schemeName(s)}));
-        const RunRecord::PercentileSet *lat = nullptr;
-        for (const auto &g : r->percentiles) {
-            if (g.first == "latency.all")
-                lat = &g.second;
-        }
+    for (std::size_t s = 0; s < g.size(0); s++) {
+        const RunRecord &r = g.at({s});
         std::printf(
             "%-13s | %5.1f  %6.2f  %5.2f | %-6.0f %-6.0f %-6.0f | "
             "%5.2f (%.2f/%.2f/%.2f/%.2f)\n",
-            schemeName(s), 100.0 * r->get("hit_rate"),
-            100.0 * r->get("hit_rate_per_mb"), r->get("front_ratio"),
-            lat ? (*lat)[0].second : 0.0, lat ? (*lat)[1].second : 0.0,
-            lat ? (*lat)[2].second : 0.0, r->get("throughput_rpk"),
-            r->get("thr_rpk_social"), r->get("thr_rpk_search"),
-            r->get("thr_rpk_feed"), r->get("thr_rpk_analytics"));
+            g.name(0, s), 100.0 * r.get("hit_rate"),
+            100.0 * r.get("hit_rate_per_mb"), r.get("front_ratio"),
+            allLatency(r, 0), allLatency(r, 1), allLatency(r, 2),
+            r.get("throughput_rpk"), r.get("thr_rpk_social"),
+            r.get("thr_rpk_search"), r.get("thr_rpk_feed"),
+            r.get("thr_rpk_analytics"));
     }
 }
 
@@ -1514,71 +1268,44 @@ const KvTierPoint kKvTierPoints[] = {
     {"both", true, true},
 };
 
-const sim::Scheme kKvTierSchemes[] = {sim::Scheme::Uncompressed,
-                                      sim::Scheme::Morc};
-
-/** Requests per tiering task. The tiering figure only says anything
- *  once the 4 MB DRAM tier is full and eviction/promotion traffic is
- *  steady-state; under the --smoke budget the shared kvRequests() knob
- *  leaves it cold-miss-dominated, so tiering gets a higher floor
- *  (ROADMAP item 3 residual). */
-std::uint64_t
-kvTierRequests()
+RunRecord
+kvTierRecord(const Point &p, std::uint64_t)
 {
-    return std::max<std::uint64_t>(kvRequests(), 60'000);
-}
-
-std::vector<Task>
-kvTierTasks()
-{
-    std::vector<Task> tasks;
-    for (sim::Scheme s : kKvTierSchemes) {
-        for (const KvTierPoint &pt : kKvTierPoints) {
-            tasks.push_back(Task{
-                k({"kvtier", schemeName(s), pt.name}),
-                [s, pt](std::uint64_t) -> RunRecord {
-                    kv::ServiceConfig cfg = kvBaseConfig(s);
-                    // Tight tiers so capacity effects dominate: the
-                    // compressed DRAM tier must *earn* extra residency
-                    // from the value classes.
-                    cfg.tier.dramBytes = 4ull << 20;
-                    cfg.tier.ssdBytes = 4ull << 20;
-                    cfg.tier.dramCompressed = pt.dramCompressed;
-                    cfg.tier.ssdCompressed = pt.ssdCompressed;
-                    RunRecord rec = kvRecord(cfg, kvTierRequests());
-                    rec.label("scheme", schemeName(s));
-                    rec.label("tier_compression", pt.name);
-                    return rec;
-                }});
-        }
-    }
-    return tasks;
+    const KvTierPoint &pt = kKvTierPoints[p[1]];
+    kv::ServiceConfig cfg = kvBaseConfig(kUncompressedVsMorc[p[0]]);
+    // Tight tiers so capacity effects dominate: the compressed DRAM
+    // tier must *earn* extra residency from the value classes.
+    cfg.tier.dramBytes = 4ull << 20;
+    cfg.tier.ssdBytes = 4ull << 20;
+    cfg.tier.dramCompressed = pt.dramCompressed;
+    cfg.tier.ssdCompressed = pt.ssdCompressed;
+    // The tiering figure only says anything once the 4 MB DRAM tier is
+    // full and eviction/promotion traffic is steady-state; under the
+    // --smoke budget the shared kvRequests() knob leaves it
+    // cold-miss-dominated, so tiering gets a higher floor.
+    RunRecord rec =
+        kvRecord(cfg, std::max<std::uint64_t>(kvRequests(), 60'000));
+    rec.label("tier_compression", pt.name);
+    return rec;
 }
 
 void
-kvTierPresent(const Report &rep)
+kvTierPresent(const Grid &g)
 {
     std::printf("%-13s %-10s | dram%%  ssd%%  origin%% | dram_lines "
                 "ssd_lines | p99     p99.9\n",
                 "scheme", "tiers");
-    for (sim::Scheme s : kKvTierSchemes) {
-        for (const KvTierPoint &pt : kKvTierPoints) {
-            const auto *r =
-                rep.find(k({"kvtier", schemeName(s), pt.name}));
-            const RunRecord::PercentileSet *lat = nullptr;
-            for (const auto &g : r->percentiles) {
-                if (g.first == "latency.all")
-                    lat = &g.second;
-            }
+    for (std::size_t s = 0; s < g.size(0); s++) {
+        for (std::size_t t = 0; t < g.size(1); t++) {
+            const RunRecord &r = g.at({s, t});
             std::printf("%-13s %-10s | %5.1f %5.1f  %6.1f  | %10.0f "
                         "%9.0f | %-7.0f %-7.0f\n",
-                        schemeName(s), pt.name,
-                        100.0 * r->get("dram_hit_frac"),
-                        100.0 * r->get("ssd_hit_frac"),
-                        100.0 * r->get("origin_frac"),
-                        r->get("dram_lines"), r->get("ssd_lines"),
-                        lat ? (*lat)[1].second : 0.0,
-                        lat ? (*lat)[2].second : 0.0);
+                        g.name(0, s), g.name(1, t),
+                        100.0 * r.get("dram_hit_frac"),
+                        100.0 * r.get("ssd_hit_frac"),
+                        100.0 * r.get("origin_frac"),
+                        r.get("dram_lines"), r.get("ssd_lines"),
+                        allLatency(r, 1), allLatency(r, 2));
         }
     }
 }
@@ -1602,22 +1329,8 @@ lifetimeOf(const RunRecord &r, const char *key)
     return 0.0;
 }
 
-std::vector<Task>
-lifetimeTasks()
-{
-    std::vector<Task> tasks;
-    for (const sim::SchemeInfo &info : sim::allSchemes()) {
-        for (const char *w : kLifetimeWorkloads) {
-            tasks.push_back(
-                singleTask(k({"lifetime", w, info.name}), info.scheme,
-                           trace::findBenchmark(w)));
-        }
-    }
-    return tasks;
-}
-
 void
-lifetimePresent(const Report &rep)
+lifetimePresent(const Grid &g)
 {
     struct Row
     {
@@ -1625,24 +1338,23 @@ lifetimePresent(const Report &rep)
         double years, imbalance, flips, ratio, hitPerMb;
     };
     std::vector<Row> rows;
-    for (const sim::SchemeInfo &info : sim::allSchemes()) {
+    for (std::size_t s = 0; s < g.size(0); s++) {
         std::vector<double> years, imb, flips, ratio, hit;
-        for (const char *w : kLifetimeWorkloads) {
-            const RunRecord *r = rep.find(k({"lifetime", w, info.name}));
+        for (std::size_t w = 0; w < g.size(1); w++) {
+            const RunRecord &r = g.at({s, w});
             // An idle run forecasts infinity (rendered 1e308); cap so
             // the geometric mean stays finite and the row sorts last
             // among the writers.
-            years.push_back(
-                std::min(lifetimeOf(*r, "years"), 1.0e12));
-            imb.push_back(lifetimeOf(*r, "imbalance"));
-            flips.push_back(lifetimeOf(*r, "flips_per_cell_per_sec"));
-            ratio.push_back(r->get("ratio"));
-            hit.push_back(r->get("llc_hit_rate"));
+            years.push_back(std::min(lifetimeOf(r, "years"), 1.0e12));
+            imb.push_back(lifetimeOf(r, "imbalance"));
+            flips.push_back(lifetimeOf(r, "flips_per_cell_per_sec"));
+            ratio.push_back(r.get("ratio"));
+            hit.push_back(r.get("llc_hit_rate"));
         }
-        const double mb =
-            (info.scheme == sim::Scheme::Uncompressed8x ? 8.0 : 1.0) *
-            128.0 / 1024.0;
-        rows.push_back({info.name, stats::gmean(years),
+        const bool eightX =
+            sim::allSchemes()[s].scheme == sim::Scheme::Uncompressed8x;
+        const double mb = (eightX ? 8.0 : 1.0) * 128.0 / 1024.0;
+        rows.push_back({g.name(0, s), stats::gmean(years),
                         stats::amean(imb), stats::amean(flips),
                         stats::gmean(ratio), stats::amean(hit) / mb});
     }
@@ -1661,8 +1373,6 @@ lifetimePresent(const Report &rep)
     }
 }
 
-} // namespace
-
 // ------------------------------------------------------------------
 // Registry and drivers
 // ------------------------------------------------------------------
@@ -1670,214 +1380,344 @@ lifetimePresent(const Report &rep)
 const std::vector<Figure> &
 figures()
 {
+    const auto byName = [](const auto &v) -> std::string { return v.name; };
+    const auto names = [](const auto &values) {
+        return Axis(std::begin(values), std::end(values));
+    };
+    static const Axis spec2006 = axis(trace::spec2006(), byName);
     static const std::vector<Figure> kFigures = {
         {"table1", "Table 1: Energy of on-chip and off-chip operations "
                    "(64b of data)",
          "1x / 2x / 22.5x / 185x / 1250x / 4675x scale column",
-         table1Tasks, table1Present},
+         {Axis{"constants"}}, table1Present, nullptr,
+         [](const Point &, std::uint64_t) {
+             RunRecord rec;
+             for (const auto &row : energy::table1())
+                 rec.metric(row.operation, row.joules);
+             return rec;
+         }},
         {"table4", "Table 4: Overheads of compression schemes, "
                    "normalized to cache capacity",
          "Tags+Meta 18.74% / 8.59% / 33.58% / 25.00% / 17.18%",
-         table4Tasks, table4Present},
+         {axis(cache::table4Overheads(),
+               [](const cache::OverheadReport &r) { return r.scheme; })},
+         table4Present, nullptr, table4Record},
         {"fig2", "Figure 2: Oracle intra-line vs inter-line compression",
          "intra ~2x ratio / ~20% BW reduction; inter ~24x / ~80%",
-         fig2Tasks, fig2Present},
+         {spec2006, axis(kOracles, sim::schemeName)}, fig2Present,
+         [](const Point &p) {
+             return single(trace::spec2006()[p[0]], kOracles[p[1]]);
+         }},
         {"fig6", "Figure 6: single-program compression / bandwidth / "
                  "IPC / throughput",
          "MORC ~2.9x ratio (next best 1.9x); MORC -27% BW (next "
          "-10.8%); IPC +22%; throughput +37% (next +20%)",
-         fig6Tasks, fig6Present},
+         {axis(trace::figure6Workloads(), byName),
+          axis(kCompared, sim::schemeName)},
+         fig6Present,
+         [](const Point &p) {
+             static const auto workloads = trace::figure6Workloads();
+             return single(workloads[p[0]], kCompared[p[1]]);
+         }},
         {"fig7", "Figure 7: LBE symbol usage distribution "
                  "(data-weighted)",
          "m256 significant for cactusADM/gamess/leslie3d/povray; gcc "
          "mostly zeros; h264ref u8/u16-heavy",
-         fig7Tasks, fig7Present},
+         {spec2006}, fig7Present,
+         [](const Point &p) {
+             Run run = morcInternals(trace::spec2006()[p[0]]);
+             run.read = fig7Read;
+             return run;
+         }},
         {"fig8", "Figure 8: multi-program (16 threads, shared LLC, "
                  "1600MB/s)",
          "MORC ~4x ratio avg, up to 7x (next best 1.75x); BW -20%; "
          "IPC up to +60% (S5); completion M3 +35%",
-         fig8Tasks, fig8Present},
+         {axis(trace::table6Workloads(), byName),
+          axis(kCompared, sim::schemeName)},
+         fig8Present,
+         [](const Point &p) {
+             // 16 cores at the default 100 MB/s each: 1600 MB/s total.
+             const auto &mix = trace::table6Workloads()[p[0]];
+             Run run = multi(mix.programs, kCompared[p[1]], 4, 0);
+             run.labels = {{"mix", mix.name},
+                           {"scheme", sim::schemeName(kCompared[p[1]])}};
+             return run;
+         }},
         {"fig9", "Figure 9: memory subsystem energy",
          "MORC -17% vs uncompressed; beats the 1MB Uncompressed8x "
          "baseline; decompression energy visible but small vs DRAM",
-         fig9Tasks, fig9Present},
+         {spec2006, axis(kEnergySchemes, sim::schemeName)}, fig9Present,
+         [](const Point &p) {
+             return single(trace::spec2006()[p[0]], kEnergySchemes[p[1]]);
+         }},
         {"fig10", "Figure 10: sensitivity to per-thread bandwidth",
          "at 1600MB/s MORC costs ~7% IPC, no throughput loss; at "
          "12.5MB/s MORC +63% throughput",
-         fig10Tasks, fig10Present},
+         {axis(kBandwidths, bwLabel), spec2006,
+          axis(kCompared, sim::schemeName)},
+         fig10Present,
+         [](const Point &p) {
+             Run run = single(trace::spec2006()[p[1]], kCompared[p[2]]);
+             run.cfg.bandwidthPerCore = kBandwidths[p[0]];
+             return run;
+         }},
         {"fig11", "Figure 11: MORC at other cache sizes",
          "BW savings 33-37% and throughput +35-46% from 64KB to 1MB; "
          "benefits fade by 4MB",
-         fig11Tasks, fig11Present},
+         {axis(kLlcSizes,
+               [](std::uint64_t s) {
+                   return std::to_string(s >> 10) + "KB";
+               }),
+          spec2006, axis(kUncompressedVsMorc, sim::schemeName)},
+         fig11Present,
+         [](const Point &p) {
+             Run run = single(trace::spec2006()[p[1]],
+                              kUncompressedVsMorc[p[2]]);
+             run.cfg.llcBytesPerCore = kLlcSizes[p[0]];
+             // Caches much larger than 128KB need proportionally longer
+             // warm-up to fill; bounded to keep the default sweep
+             // affordable.
+             run.warmup *= std::clamp<std::uint64_t>(
+                 kLlcSizes[p[0]] / (128 * 1024), 1, 2);
+             return run;
+         }},
         {"fig12", "Figure 12: write-back-induced invalid lines "
                   "(compression disabled)",
          "non-inclusive significantly reduces invalid fraction vs "
          "inclusive",
-         fig12Tasks, fig12Present},
+         {spec2006, names(kFillPolicies)}, fig12Present,
+         [](const Point &p) {
+             Run run = morcInternals(trace::spec2006()[p[0]]);
+             run.cfg.useMorcOverride = true;
+             run.cfg.morc.compressionEnabled = false;
+             run.cfg.inclusiveWriteFills = p[1] == 0;
+             run.labels.emplace_back("fill_policy", kFillPolicies[p[1]]);
+             return run;
+         }},
         {"fig13", "Figure 13: log size and active-log count sweeps "
                   "(unlimited tags/LMT)",
          "512-byte logs with 8 active logs are near-optimal",
-         fig13Tasks, fig13Present},
+         // The point axis: the log-size sweep at 8 active logs, then
+         // the active-log sweep at 512-byte logs.
+         {names(kFig13Subset),
+          [] {
+              Axis a;
+              for (unsigned s : kLogSizes)
+                  a.push_back("logbytes" + std::to_string(s));
+              for (unsigned c : kLogCounts)
+                  a.push_back("logs" + std::to_string(c));
+              return a;
+          }()},
+         fig13Present,
+         [](const Point &p) {
+             Run run = single(trace::resolveWorkload(kFig13Subset[p[0]]),
+                              sim::Scheme::Morc);
+             const bool sizes = p[1] < kNumLogSizes;
+             run.cfg.useMorcOverride = true;
+             run.cfg.morc.logBytes = sizes ? kLogSizes[p[1]] : 512;
+             run.cfg.morc.activeLogs =
+                 sizes ? 8 : kLogCounts[p[1] - kNumLogSizes];
+             run.cfg.morc.unlimitedMeta = true;
+             return run;
+         }},
         {"fig14", "Figure 14: MORC access latency (log position) "
                   "distribution",
-         "fairly even distribution across log positions", fig14Tasks,
-         fig14Present},
+         "fairly even distribution across log positions", {spec2006},
+         fig14Present, fig14Point},
         {"fig15", "Figure 15: separate vs merged tag/data logs",
          "MORCMerged within ~0.5x of MORC on most workloads",
-         fig15Tasks, fig15Present},
+         {spec2006, axis(kTagLogSchemes, sim::schemeName)}, fig15Present,
+         [](const Point &p) {
+             return single(trace::spec2006()[p[0]], kTagLogSchemes[p[1]]);
+         }},
         {"ablation", "Ablation: stream/line codecs on identical fill "
                      "streams",
          "LZ ~ LBE (Section 6); C-Pack capped by per-word pointers; "
          "intra-line codecs (FPC/BDI) trail inter-line ones",
-         ablationTasks, ablationPresent},
+         // The workloads, then the tag codec at each base count.
+         {[&] {
+             Axis a = spec2006;
+             for (unsigned bases : kTagBases)
+                 a.push_back("tagcodec/" + std::to_string(bases) + "base");
+             return a;
+         }()},
+         ablationPresent, nullptr,
+         [](const Point &p, std::uint64_t seed) {
+             const std::size_t n = trace::spec2006().size();
+             return p[0] < n ? codecRecord(trace::spec2006()[p[0]], seed)
+                             : tagCodecRecord(kTagBases[p[0] - n], seed);
+         }},
         {"mesh", "Mesh scaling: tiled substrate (banked LLC over a 2D "
                  "mesh, fixed 1600MB/s total bandwidth), 1 to 64 tiles",
          "compression's benefit grows with core count as off-chip "
          "bandwidth per tile shrinks (Section 1 manycore argument)",
-         meshTasks, meshPresent},
+         {axis(kMeshDims,
+               [](unsigned d) { return std::to_string(d * d) + "t"; }),
+          axis(kUncompressedVsMorc, sim::schemeName)},
+         meshPresent, meshPoint},
         {"kvserve", "KV serving: MORC vs baselines as the hot tier of "
                     "a 4-tenant memcached-style service (>=1M keys, "
                     "Zipf traffic, working-set drift)",
          "beyond the paper: hit-rate-per-byte and p50/p99/p99.9 tail "
          "latency under service-shaped traffic (ZipCache-style "
          "evaluation)",
-         kvServeTasks, kvServePresent},
+         {axis(kKvSchemes, sim::schemeName)}, kvServePresent, nullptr,
+         kvServeRecord},
         {"kvtier", "KV tiering: per-tier compression on the DRAM/SSD "
                    "backing store behind the service's front cache",
          "beyond the paper: compressed tiers trade origin fetches for "
          "residency (ZipCache's DRAM/SSD argument)",
-         kvTierTasks, kvTierPresent},
+         {axis(kUncompressedVsMorc, sim::schemeName),
+          axis(kKvTierPoints, byName)},
+         kvTierPresent, nullptr, kvTierRecord},
         {"lifetime", "Lifetime: NVM wear and years-to-failure ranking "
                      "of every scheme (L2C2-style endurance model)",
          "beyond the paper: compression reduces programmed bits, but "
          "log-structured writes also level wear across sets (L2C2's "
          "endurance argument)",
-         lifetimeTasks, lifetimePresent},
+         {axis(sim::allSchemes(), byName), names(kLifetimeWorkloads)},
+         lifetimePresent,
+         [](const Point &p) {
+             return single(trace::findBenchmark(kLifetimeWorkloads[p[1]]),
+                           sim::allSchemes()[p[0]].scheme);
+         },
+         nullptr, {1, 0}}, // scheme-major tasks, workload-first keys
     };
     return kFigures;
 }
 
-const Figure *
-findFigure(const std::string &name)
-{
-    for (const auto &f : figures()) {
-        if (name == f.name)
-            return &f;
-    }
-    return nullptr;
-}
-
+/**
+ * Run one figure's sweep on @p jobs threads and assemble its report.
+ *
+ * With a @p journal (--checkpoint-dir), tasks whose key is already
+ * journaled return their stored record without simulating, and every
+ * freshly finished task is appended to the journal before the sweep
+ * moves on — so a killed run resumes where it left off and reproduces
+ * the uninterrupted report byte for byte.
+ */
 stats::Report
 runFigure(const Figure &fig, unsigned jobs, sweep::Journal *journal)
 {
+    std::vector<Task> tasks;
+    std::size_t resumed = 0, total = 1;
+    for (const Axis &a : fig.axes)
+        total *= a.size();
+    // Task t runs the grid position whose row-major index is t (the
+    // inverse of Grid::at): the last axis varies fastest.
+    for (std::size_t t = 0; t < total; t++) {
+        Point p(fig.axes.size());
+        for (std::size_t a = p.size(), rest = t; a-- > 0;
+             rest /= fig.axes[a].size())
+            p[a] = rest % fig.axes[a].size();
+        std::string key = fig.name;
+        for (std::size_t i = 0; i < p.size(); i++) {
+            const std::size_t a = fig.keyOrder.empty() ? i : fig.keyOrder[i];
+            key += '/' + fig.axes[a][p[a]];
+        }
+        const RunRecord *done = journal ? journal->lookup(key) : nullptr;
+        resumed += done != nullptr;
+        tasks.push_back(Task{key, [&fig, p, journal, done,
+                                   key](std::uint64_t seed) {
+            if (done)
+                return *done;
+            RunRecord rec = fig.simulate ? runPoint(fig.simulate(p))
+                                         : fig.record(p, seed);
+            if (journal) {
+                rec.key = key; // the engine stamps it only afterwards
+                journal->append(rec);
+            }
+            return rec;
+        }});
+    }
+    if (resumed > 0) {
+        std::fprintf(stderr,
+                     "[checkpoint] %s: resuming, %zu/%zu tasks "
+                     "already journaled\n",
+                     fig.name, resumed, tasks.size());
+    }
     stats::Report rep;
     rep.figure = fig.name;
     rep.title = fig.title;
-    rep.instrBudget = instrBudget();
-    rep.warmupBudget = warmupBudget();
-    std::vector<Task> tasks = fig.tasks();
-    if (journal) {
-        std::size_t resumed = 0;
-        for (Task &t : tasks) {
-            if (const RunRecord *done = journal->lookup(t.key)) {
-                resumed++;
-                t.run = [done](std::uint64_t) { return *done; };
-                continue;
-            }
-            t.run = [journal, key = t.key,
-                     inner = std::move(t.run)](std::uint64_t seed) {
-                RunRecord rec = inner(seed);
-                rec.key = key; // the engine stamps it only afterwards
-                journal->append(rec);
-                return rec;
-            };
-        }
-        if (resumed > 0) {
-            std::fprintf(stderr,
-                         "[checkpoint] %s: resuming, %zu/%zu tasks "
-                         "already journaled\n",
-                         fig.name, resumed, tasks.size());
-        }
-    }
-    sweep::Engine engine(jobs);
-    rep.runs = engine.run(tasks);
+    rep.instrBudget = g_instr;
+    rep.warmupBudget = g_warmup;
+    rep.runs = sweep::Engine(jobs).run(tasks);
     return rep;
 }
+
+/** Strict decimal parse of @p s (digits only) into [@p lo, @p hi];
+ *  on a bad value, names @p what on stderr and returns false. */
+bool
+parseCount(const char *what, const char *s, std::uint64_t lo,
+           std::uint64_t hi, std::uint64_t &out)
+{
+    const char *end = s + std::strlen(s);
+    std::uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(s, end, v);
+    if (s == end || ptr != end || ec != std::errc() || v < lo || v > hi) {
+        std::fprintf(stderr, "%s: bad value '%s'\n", what, s);
+        return false;
+    }
+    out = v;
+    return true;
+}
+
+/** A value option: `NAME V`, `ALIAS V` or `NAME=V`. It sets either a
+ *  string or a count in [lo, hi]. */
+struct Option
+{
+    const char *name;
+    const char *alias;
+    std::string *text;
+    std::uint64_t *count;
+    std::uint64_t lo, hi;
+};
+
+} // namespace
 
 int
 sweepMain(int argc, char **argv)
 {
-    unsigned jobs = 0; // hardware_concurrency
+    std::uint64_t jobs = 0; // hardware_concurrency
     std::string outDir;
     std::string traceOut;
     std::string checkpointDir;
+    constexpr std::uint64_t kMax = UINT64_MAX;
+    const Option options[] = {
+        {"--jobs", "-j", nullptr, &jobs, 0, 4096},
+        {"--telemetry-epoch", nullptr, nullptr, &g_telemetryEpoch, 1, kMax},
+        {"--trace-out", nullptr, &traceOut, nullptr, 0, 0},
+        {"--checkpoint-dir", nullptr, &checkpointDir, nullptr, 0, 0},
+        {"--out", "-o", &outDir, nullptr, 0, 0},
+    };
     std::vector<std::string> names;
-    const auto parseJobs = [&jobs](const char *s) {
-        char *end = nullptr;
-        const unsigned long v = std::strtoul(s, &end, 10);
-        if (end == s || *end != '\0' || v > 4096) {
-            std::fprintf(stderr, "--jobs: bad value '%s'\n", s);
-            return false;
-        }
-        jobs = static_cast<unsigned>(v);
-        return true;
-    };
-    const auto parseEpoch = [](const char *s) {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(s, &end, 10);
-        if (end == s || *end != '\0' || v == 0) {
-            std::fprintf(stderr, "--telemetry-epoch: bad value '%s'\n",
-                         s);
-            return std::uint64_t{0};
-        }
-        return static_cast<std::uint64_t>(v);
-    };
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
-        if (arg == "--jobs" || arg == "-j") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-                return 1;
+        const Option *opt = nullptr;
+        const char *value = nullptr;
+        for (const Option &o : options) {
+            const std::size_t n = std::strlen(o.name);
+            if (arg == o.name || (o.alias && arg == o.alias)) {
+                if (i + 1 >= argc) {
+                    std::fprintf(stderr, "%s needs a value\n",
+                                 arg.c_str());
+                    return 1;
+                }
+                opt = &o;
+                value = argv[++i];
+            } else if (arg.compare(0, n, o.name) == 0 && arg[n] == '=') {
+                opt = &o;
+                value = argv[i] + n + 1;
             }
-            if (!parseJobs(argv[++i]))
+            if (opt)
+                break;
+        }
+        if (opt) {
+            if (opt->text)
+                *opt->text = value;
+            else if (!parseCount(opt->name, value, opt->lo, opt->hi,
+                                 *opt->count))
                 return 1;
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            if (!parseJobs(arg.c_str() + 7))
-                return 1;
-        } else if (arg == "--telemetry-epoch") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-                return 1;
-            }
-            if ((g_telemetryEpoch = parseEpoch(argv[++i])) == 0)
-                return 1;
-        } else if (arg.rfind("--telemetry-epoch=", 0) == 0) {
-            if ((g_telemetryEpoch = parseEpoch(arg.c_str() + 18)) == 0)
-                return 1;
-        } else if (arg == "--trace-out") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-                return 1;
-            }
-            traceOut = argv[++i];
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            traceOut = arg.substr(12);
-        } else if (arg == "--checkpoint-dir") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-                return 1;
-            }
-            checkpointDir = argv[++i];
-        } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
-            checkpointDir = arg.substr(17);
-        } else if (arg == "--out" || arg == "-o") {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-                return 1;
-            }
-            outDir = argv[++i];
-        } else if (arg.rfind("--out=", 0) == 0) {
-            outDir = arg.substr(6);
         } else if (arg == "--list") {
             for (const auto &f : figures())
                 std::printf("%-10s %s\n", f.name, f.title);
@@ -1905,45 +1745,61 @@ sweepMain(int argc, char **argv)
             names.push_back(arg);
         }
     }
+    // The budgets must be parsed before any task runs: a malformed
+    // value would otherwise silently become a zero or a wrapped budget.
+    if (const char *s = std::getenv("MORC_BENCH_INSTR");
+        s && !parseCount("MORC_BENCH_INSTR", s, 1, kMax, g_instr))
+        return 1;
+    if (const char *s = std::getenv("MORC_BENCH_WARMUP");
+        s && !parseCount("MORC_BENCH_WARMUP", s, 0, kMax, g_warmup))
+        return 1;
 
-    std::vector<const Figure *> selected;
     if (names.empty() || (names.size() == 1 && names[0] == "all")) {
+        names.clear();
         for (const auto &f : figures())
-            selected.push_back(&f);
-    } else {
-        for (const auto &n : names) {
-            const Figure *f = findFigure(n);
-            if (!f) {
-                std::fprintf(stderr, "unknown figure '%s' (--list)\n",
-                             n.c_str());
-                return 1;
-            }
-            selected.push_back(f);
+            names.push_back(f.name);
+    }
+    std::vector<const Figure *> selected;
+    for (const auto &n : names) {
+        const std::size_t found = selected.size();
+        for (const auto &f : figures()) {
+            if (n == f.name)
+                selected.push_back(&f);
+        }
+        if (selected.size() == found) {
+            std::fprintf(stderr, "unknown figure '%s' (--list)\n",
+                         n.c_str());
+            return 1;
         }
     }
 
-    if (!outDir.empty()) {
+    // Create DIR + @p sub for a directory option that is set.
+    const auto makeDir = [](const std::string &dir, const char *sub) {
         std::error_code ec;
-        std::filesystem::create_directories(outDir, ec);
-        if (ec) {
-            std::fprintf(stderr, "cannot create %s: %s\n",
-                         outDir.c_str(), ec.message().c_str());
-            return 1;
-        }
-    }
-    if (!checkpointDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(checkpointDir + "/warm",
-                                            ec);
-        if (ec) {
-            std::fprintf(stderr, "cannot create %s: %s\n",
-                         checkpointDir.c_str(), ec.message().c_str());
-            return 1;
-        }
+        if (!dir.empty())
+            std::filesystem::create_directories(dir + sub, ec);
+        if (ec)
+            std::fprintf(stderr, "cannot create %s: %s\n", dir.c_str(),
+                         ec.message().c_str());
+        return !ec;
+    };
+    if (!makeDir(outDir, "") || !makeDir(checkpointDir, "/warm"))
+        return 1;
+    if (!checkpointDir.empty())
         g_warmDir = checkpointDir + "/warm";
-    }
     g_traceEvents = !traceOut.empty();
 
+    const auto write = [](const std::string &path, const std::string &text) {
+        const bool ok = snap::atomicWriteFile(path, text.data(), text.size());
+        if (!ok)
+            std::fprintf(stderr, "cannot write %s\n", path.c_str());
+        return ok;
+    };
+    const auto secondsSince = [](std::chrono::steady_clock::time_point t) {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t)
+            .count();
+    };
     // Traces from every selected figure, in deterministic task order.
     std::vector<std::pair<std::string, telemetry::TraceBuffer>> traces;
     const auto t0 = std::chrono::steady_clock::now();
@@ -1957,55 +1813,37 @@ sweepMain(int argc, char **argv)
         }
         stats::Report rep;
         try {
-            rep = runFigure(*fig, jobs, journal.get());
+            rep = runFigure(*fig, static_cast<unsigned>(jobs),
+                            journal.get());
         } catch (const std::exception &e) {
             std::fprintf(stderr, "[%s] FAILED: %s\n", fig->name,
                          e.what());
             return 1;
         }
         banner(*fig);
-        fig->present(rep);
+        fig->present(Grid(fig->axes, rep));
         if (g_traceEvents) {
             for (const auto &run : rep.runs)
                 if (!run.trace.empty())
                     traces.emplace_back(run.key, run.trace);
         }
-        if (!outDir.empty()) {
-            const std::string path =
-                outDir + "/" + fig->name + ".json";
-            const std::string json = rep.toJson();
-            if (!snap::atomicWriteFile(path, json.data(),
-                                       json.size())) {
-                std::fprintf(stderr, "cannot write %s\n", path.c_str());
-                return 1;
-            }
-        }
-        const double secs =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - f0)
-                .count();
+        if (!outDir.empty() &&
+            !write(outDir + "/" + fig->name + ".json", rep.toJson()))
+            return 1;
         std::fprintf(stderr, "[%s] %zu tasks in %.1fs\n", fig->name,
-                     rep.runs.size(), secs);
+                     rep.runs.size(), secondsSince(f0));
         std::printf("\n");
         std::fflush(stdout);
     }
     if (!traceOut.empty()) {
-        const std::string json = telemetry::chromeTraceJson(traces);
-        if (!snap::atomicWriteFile(traceOut, json.data(),
-                                   json.size())) {
-            std::fprintf(stderr, "cannot write %s\n", traceOut.c_str());
+        if (!write(traceOut, telemetry::chromeTraceJson(traces)))
             return 1;
-        }
         std::fprintf(stderr, "trace: %zu traced runs -> %s\n",
                      traces.size(), traceOut.c_str());
     }
     if (selected.size() > 1) {
-        const double secs =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - t0)
-                .count();
         std::fprintf(stderr, "total: %zu figures in %.1fs\n",
-                     selected.size(), secs);
+                     selected.size(), secondsSince(t0));
     }
     return 0;
 }

@@ -1,67 +1,32 @@
 /**
  * @file
- * Registry of every paper figure/table as a sweep definition.
+ * The morc_sweep CLI over every paper figure and table.
  *
- * A Figure contributes (a) a task enumerator — one sweep::Task per
- * (scheme x workload x config point), each returning a flat RunRecord —
- * and (b) a presenter that re-derives the paper's text table from the
- * finished stats::Report. Tasks are independent and deterministic, so
- * the engine can run them on any number of threads; presenters only read
- * the report, so text output and JSON always agree.
- *
- * The registry backs the morc_sweep CLI (sweepMain over any subset).
+ * figures.cc declares each figure once: its name, title and paper
+ * claim; its axes, in task order; a map from a grid point to what the
+ * point runs (a SystemConfig, its programs and budgets, or a
+ * non-simulated record); and a presenter that reads the finished
+ * stats::Report by grid position to print the paper's text table. The
+ * tasks are the grid in axis order, keyed by the figure name and each
+ * axis's value name. They are independent and deterministic, so the
+ * sweep engine can run them on any number of threads; presenters only
+ * read the report, so text output and JSON always agree.
  */
 
 #ifndef MORC_BENCH_FIGURES_HH
 #define MORC_BENCH_FIGURES_HH
 
-#include <string>
-#include <vector>
-
-#include "stats/report.hh"
-#include "sweep/sweep.hh"
-
 namespace morc {
-namespace sweep {
-class Journal;
-}
-
 namespace bench {
-
-struct Figure
-{
-    const char *name;       // CLI name, e.g. "fig6"
-    const char *title;      // banner line
-    const char *paperClaim; // "Paper reports:" line
-    std::vector<sweep::Task> (*tasks)();
-    void (*present)(const stats::Report &);
-};
-
-/** Every figure/table, in paper order. */
-const std::vector<Figure> &figures();
-
-/** Lookup by name; nullptr if unknown. */
-const Figure *findFigure(const std::string &name);
-
-/**
- * Run one figure's sweep on @p jobs threads and assemble its report.
- *
- * With a @p journal (--checkpoint-dir), tasks whose key is already
- * journaled return their stored record without simulating, and every
- * freshly finished task is appended to the journal before the sweep
- * moves on — so a killed run resumes where it left off and reproduces
- * the uninterrupted report byte for byte.
- */
-stats::Report runFigure(const Figure &fig, unsigned jobs,
-                        sweep::Journal *journal = nullptr);
 
 /**
  * The morc_sweep CLI: `[--jobs N] [--out DIR] [--checkpoint-dir DIR]
  * [--telemetry-epoch CYCLES] [--trace-out FILE] [--list]
- * [--list-schemes] [figure...|all]`.
+ * [--list-schemes] [figure...|all]`. Budgets come from
+ * MORC_BENCH_INSTR (at least 1) and MORC_BENCH_WARMUP.
  *
- * @return 0 on success; 1 on bad usage, unknown figure, or a failed
- *         sweep task.
+ * @return 0 on success; 1 on bad usage, a malformed budget variable,
+ *         an unknown figure, or a failed sweep task.
  */
 int sweepMain(int argc, char **argv);
 

@@ -13,10 +13,10 @@ cd "$(dirname "$0")"
 
 # --smoke: a fast end-to-end exercise of the sweep engine for CI. On a
 # tiny instruction budget it runs the gates below (scheme registry,
-# traced-mesh determinism, checkpoint resume, KV and lifetime
-# determinism and schema, the three perf gates), then sweeps fig6,
-# mesh, kvserve and lifetime — enough to catch crashes, sweep-task
-# failures, nondeterminism, and schema regressions without paying for
+# checkpoint resume, traced-mesh, KV and lifetime determinism and
+# schema, the three perf gates), then sweeps fig6, mesh, kvserve and
+# lifetime — enough to catch crashes, sweep-task failures,
+# nondeterminism, and schema regressions without paying for
 # paper-fidelity statistics. Must come before the defaults below so the
 # smoke budget wins unless the caller overrode it.
 SMOKE_ARGS=()
@@ -72,30 +72,6 @@ if [ "$SMOKE" = 1 ]; then
     done
     echo "smoke registry OK: $("$SWEEP" --list-schemes | wc -l) schemes"
 
-    # ...and the telemetry path end to end: a traced mesh sweep must
-    # write byte-identical reports and Chrome traces at jobs=1 and
-    # jobs=8 (timestamps are simulated cycles), the trace must carry
-    # log_flush instant events, and the report its series sections.
-    TRDIR=$(mktemp -d /tmp/morc_smoke_trace.XXXXXX)
-    for j in 1 8; do
-        "$SWEEP" --jobs $j --telemetry-epoch 100000 --out "$TRDIR/j$j" \
-            --trace-out "$TRDIR/j$j/trace.json" mesh > /dev/null
-    done
-    cmp "$TRDIR/j1/mesh.json" "$TRDIR/j8/mesh.json"
-    cmp "$TRDIR/j1/trace.json" "$TRDIR/j8/trace.json"
-    python3 - "$TRDIR/j1" <<'EOF'
-import json, sys
-events = json.load(open(sys.argv[1] + "/trace.json"))["traceEvents"]
-kinds = {e["name"] for e in events if e.get("ph") == "i"}
-assert "log_flush" in kinds, kinds
-r = json.load(open(sys.argv[1] + "/mesh.json"))
-assert r["schema"] == "morc.sweep.report/v5", r["schema"]
-assert any("series" in run for run in r["runs"]), "no series section"
-print(f"smoke trace OK: {len(events)} events, kinds {sorted(kinds)}, "
-      "jobs-independent bytes")
-EOF
-    rm -rf "$TRDIR"
-
     # ...and the checkpoint path: the same figure swept twice against
     # one --checkpoint-dir must serve the second run from the journal
     # ("resuming" on stderr) and emit byte-identical JSON.
@@ -109,50 +85,12 @@ EOF
     echo "smoke checkpoint OK: resumed report is byte-identical"
     rm -rf "$CKPT"
 
-    # ...and the KV-serving subsystem: the same kvserve sweep on one
-    # thread and on all threads must emit byte-identical schema-v5
-    # reports (per-tenant seeding + task-order assembly), and the
-    # report must carry the v4 percentiles section.
-    KVDIR=$(mktemp -d /tmp/morc_smoke_kv.XXXXXX)
-    "$SWEEP" --jobs 1 --out "$KVDIR/j1" kvserve > /dev/null
-    "$SWEEP" --jobs "$JOBS" --out "$KVDIR/jN" kvserve > /dev/null
-    cmp "$KVDIR/j1/kvserve.json" "$KVDIR/jN/kvserve.json"
-    python3 - "$KVDIR/j1/kvserve.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r["schema"] == "morc.sweep.report/v5", r["schema"]
-runs = r["runs"]
-assert any("percentiles" in run for run in runs), "no percentiles"
-p = next(run["percentiles"] for run in runs if "percentiles" in run)
-assert "p99.9" in p["latency.all"], p
-print(f"smoke kv OK: {len(runs)} runs, jobs-independent bytes")
-EOF
-    rm -rf "$KVDIR"
-
-    # ...and the wear/lifetime subsystem: the lifetime figure ranks
-    # every registry scheme, must be byte-identical at jobs=1 vs jobs=8
-    # (wear charging happens inside the per-task simulation, so thread
-    # count must not leak into the report), and must carry the v5
-    # lifetime section for every run.
-    LTDIR=$(mktemp -d /tmp/morc_smoke_lt.XXXXXX)
-    "$SWEEP" --jobs 1 --out "$LTDIR/j1" lifetime > /dev/null
-    "$SWEEP" --jobs 8 --out "$LTDIR/j8" lifetime > /dev/null
-    cmp "$LTDIR/j1/lifetime.json" "$LTDIR/j8/lifetime.json"
-    python3 - "$LTDIR/j1/lifetime.json" <<'EOF'
-import json, sys
-r = json.load(open(sys.argv[1]))
-assert r["schema"] == "morc.sweep.report/v5", r["schema"]
-runs = r["runs"]
-assert all("lifetime" in run for run in runs), "run missing lifetime"
-keys = {"cell_bits_written", "cell_bit_flips", "write_bits_per_sec",
-        "flips_per_cell_per_sec", "imbalance", "set_variance", "years"}
-assert keys <= set(runs[0]["lifetime"]), runs[0]["lifetime"]
-schemes = {run["labels"]["scheme"] for run in runs}
-assert "Touche" in schemes and "MORC" in schemes, schemes
-print(f"smoke lifetime OK: {len(schemes)} schemes ranked, "
-      "jobs-independent bytes")
-EOF
-    rm -rf "$LTDIR"
+    # ...and the jobs-independence gates (tools/smoke_gates.py): the
+    # traced mesh (jobs 1 vs 8, report and Chrome trace, log_flush
+    # events, series sections), kvserve (jobs 1 vs all threads,
+    # percentiles) and lifetime (jobs 1 vs 8, every scheme's lifetime
+    # section) must write byte-identical schema-v5 reports.
+    python3 tools/smoke_gates.py "$SWEEP" "$JOBS"
 
     # ...and the perf gates: one bench_speed run, then the LBE hot path
     # (the simulator's hottest loop), the KV service and the Touché

@@ -1,0 +1,226 @@
+#!/usr/bin/env python3
+"""End-to-end pins of every morc_sweep figure (ctest Figures.*).
+
+Usage: figures_test.py MORC_SWEEP GOLDEN_DIR CASE
+
+Every case runs morc_sweep at a tiny budget (2000 measured and 4000
+warm-up instructions per core) in a temporary directory. The digests
+in GOLDEN_DIR/figures_*.sha256 (sha256sum format) pin the report JSON
+and stdout of all 18 figures, so any change to a figure's tasks, keys,
+labels, metrics or presenter fails here. With MORC_UPDATE_GOLDEN=1 a
+digest case rewrites its list instead of comparing.
+
+Cases:
+  ReportDigests     `--jobs 4 all`: each report, stdout, --list and
+                    --list-schemes against figures_report.sha256.
+  TracedMesh        `--telemetry-epoch 100000 --trace-out T mesh`:
+                    mesh.json and T against figures_traced_mesh.sha256.
+  CheckpointResume  `fig7 fig14` against one --checkpoint-dir: the
+                    second run resumes from the journal, a third with
+                    the journals removed restores the warm snapshots,
+                    and all three match the plain report digests.
+  TracedFig7Fig14   `--telemetry-epoch 1000 --trace-out T fig7 fig14`:
+                    every run carries a series section and a trace.
+  RejectsBadBudget  `table1` exits 1 naming the variable, before any
+                    output, for each malformed MORC_BENCH_INSTR or
+                    MORC_BENCH_WARMUP, and 0 for good values.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+BUDGET = {"MORC_BENCH_INSTR": "2000", "MORC_BENCH_WARMUP": "4000"}
+
+
+def sweep(binary, args, env_extra=None, check=True):
+    env = dict(os.environ)
+    env.update(BUDGET)
+    env.update(env_extra or {})
+    proc = subprocess.run([binary] + args, env=env, capture_output=True)
+    if check and proc.returncode != 0:
+        sys.stderr.write(proc.stderr.decode(errors="replace"))
+        raise SystemExit(f"morc_sweep {' '.join(args)} exited "
+                         f"{proc.returncode}")
+    return proc
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def read_digests(path):
+    digests = {}
+    with open(path) as f:
+        for line in f:
+            digest, name = line.split()
+            digests[name] = digest
+    return digests
+
+
+def check_digests(path, fresh):
+    """Compare {name: digest} with the list at @path, or rewrite it."""
+    if os.environ.get("MORC_UPDATE_GOLDEN"):
+        with open(path, "w") as f:
+            for name, digest in fresh.items():
+                f.write(f"{digest}  {name}\n")
+        print(f"updated {path}; re-run without MORC_UPDATE_GOLDEN")
+        return 0
+    want = read_digests(path)
+    bad = [n for n in sorted(set(want) | set(fresh))
+           if want.get(n) != fresh.get(n)]
+    for n in bad:
+        print(f"{n}: got {fresh.get(n)}, pinned {want.get(n)}",
+              file=sys.stderr)
+    if bad:
+        print(f"{len(bad)} digests differ from {path}; if the change is "
+              "intentional, regenerate with MORC_UPDATE_GOLDEN=1",
+              file=sys.stderr)
+        return 1
+    print(f"{len(fresh)} digests match {os.path.basename(path)}")
+    return 0
+
+
+def file_digest(path):
+    with open(path, "rb") as f:
+        return sha256(f.read())
+
+
+def report_digests(binary, golden, tmp):
+    out = os.path.join(tmp, "out")
+    proc = sweep(binary, ["--jobs", "4", "--out", out, "all"])
+    fresh = {name: file_digest(os.path.join(out, name))
+             for name in sorted(os.listdir(out))}
+    fresh["stdout"] = sha256(proc.stdout)
+    fresh["list"] = sha256(sweep(binary, ["--list"]).stdout)
+    fresh["list-schemes"] = sha256(sweep(binary, ["--list-schemes"]).stdout)
+    return check_digests(os.path.join(golden, "figures_report.sha256"),
+                         fresh)
+
+
+def traced_mesh(binary, golden, tmp):
+    out = os.path.join(tmp, "out")
+    trace = os.path.join(tmp, "trace.json")
+    sweep(binary, ["--jobs", "4", "--telemetry-epoch", "100000",
+                   "--trace-out", trace, "--out", out, "mesh"])
+    fresh = {"mesh.json": file_digest(os.path.join(out, "mesh.json")),
+             "trace.json": file_digest(trace)}
+    return check_digests(
+        os.path.join(golden, "figures_traced_mesh.sha256"), fresh)
+
+
+def checkpoint_resume(binary, golden, tmp):
+    pinned = read_digests(os.path.join(golden, "figures_report.sha256"))
+    ckpt = os.path.join(tmp, "ckpt")
+    failures = 0
+    for run in ("first", "resumed", "warm"):
+        if run == "warm":
+            for name in os.listdir(ckpt):
+                if name.endswith(".journal"):
+                    os.remove(os.path.join(ckpt, name))
+        out = os.path.join(tmp, run)
+        proc = sweep(binary, ["--jobs", "4", "--checkpoint-dir", ckpt,
+                              "--out", out, "fig7", "fig14"])
+        log = proc.stderr.decode(errors="replace")
+        if (run == "resumed") != ("resuming" in log):
+            want = "lacks" if run == "resumed" else "has"
+            print(f"{run} run: stderr {want} 'resuming':\n{log}",
+                  file=sys.stderr)
+            failures += 1
+        if "rejected" in log:
+            print(f"{run} run rejected a warm snapshot:\n{log}",
+                  file=sys.stderr)
+            failures += 1
+        for name in ("fig7.json", "fig14.json"):
+            if file_digest(os.path.join(out, name)) != pinned[name]:
+                print(f"{run} run: {name} differs from the plain sweep",
+                      file=sys.stderr)
+                failures += 1
+    warm = os.listdir(os.path.join(ckpt, "warm"))
+    if not warm:
+        print("no warm snapshot was written", file=sys.stderr)
+        failures += 1
+    if failures == 0:
+        print(f"resumed and warm-restored reports match the plain "
+              f"digests ({len(warm)} warm snapshots)")
+    return 1 if failures else 0
+
+
+def traced_fig7_fig14(binary, golden, tmp):
+    out = os.path.join(tmp, "out")
+    trace = os.path.join(tmp, "trace.json")
+    sweep(binary, ["--jobs", "4", "--telemetry-epoch", "1000",
+                   "--trace-out", trace, "--out", out, "fig7", "fig14"])
+    with open(trace) as f:
+        traced = {e["args"]["name"] for e in json.load(f)["traceEvents"]
+                  if e.get("name") == "process_name"}
+    failures = 0
+    for fig in ("fig7", "fig14"):
+        with open(os.path.join(out, fig + ".json")) as f:
+            runs = json.load(f)["runs"]
+        untraced = [r["key"] for r in runs if "series" not in r]
+        missing = [r["key"] for r in runs if r["key"] not in traced]
+        if untraced or missing:
+            print(f"{fig}: {len(untraced)}/{len(runs)} runs without a "
+                  f"series section, {len(missing)}/{len(runs)} missing "
+                  f"from the trace", file=sys.stderr)
+            failures += 1
+        else:
+            print(f"{fig}: all {len(runs)} runs carry a series and a trace")
+    return 1 if failures else 0
+
+
+BAD_BUDGETS = [
+    ("MORC_BENCH_INSTR", "abc"),
+    ("MORC_BENCH_INSTR", "0"),
+    ("MORC_BENCH_INSTR", "12x"),
+    ("MORC_BENCH_INSTR", "-5"),
+    ("MORC_BENCH_INSTR", ""),
+    ("MORC_BENCH_INSTR", "99999999999999999999"),
+    ("MORC_BENCH_WARMUP", "abc"),
+    ("MORC_BENCH_WARMUP", "12x"),
+    ("MORC_BENCH_WARMUP", "-5"),
+]
+
+
+def rejects_bad_budget(binary, golden, tmp):
+    failures = 0
+    for var, value in BAD_BUDGETS:
+        proc = sweep(binary, ["table1"], {var: value}, check=False)
+        err = proc.stderr.decode(errors="replace")
+        if proc.returncode != 1 or var not in err or proc.stdout:
+            print(f"{var}={value!r}: exit {proc.returncode}, stderr "
+                  f"{err!r}, {len(proc.stdout)} stdout bytes; want exit "
+                  f"1 naming {var} before any output", file=sys.stderr)
+            failures += 1
+    for good in ({"MORC_BENCH_WARMUP": "0"}, {"MORC_BENCH_INSTR": "1"}):
+        proc = sweep(binary, ["table1"], good, check=False)
+        if proc.returncode != 0:
+            print(f"{good}: exit {proc.returncode}, want 0",
+                  file=sys.stderr)
+            failures += 1
+    if failures == 0:
+        print(f"{len(BAD_BUDGETS)} bad budgets rejected, good ones run")
+    return 1 if failures else 0
+
+
+CASES = {
+    "ReportDigests": report_digests,
+    "TracedMesh": traced_mesh,
+    "CheckpointResume": checkpoint_resume,
+    "TracedFig7Fig14": traced_fig7_fig14,
+    "RejectsBadBudget": rejects_bad_budget,
+}
+
+
+def main():
+    binary, golden, case = sys.argv[1], sys.argv[2], sys.argv[3]
+    with tempfile.TemporaryDirectory() as tmp:
+        return CASES[case](binary, golden, tmp)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
