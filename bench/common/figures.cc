@@ -1,7 +1,6 @@
 #include "common/figures.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -31,6 +30,7 @@
 #include "sweep/sweep.hh"
 #include "telemetry/tracer.hh"
 #include "trace/workload.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 #include "util/sync.hh"
 
@@ -1645,23 +1645,6 @@ runFigure(const Figure &fig, unsigned jobs, sweep::Journal *journal)
     return rep;
 }
 
-/** Strict decimal parse of @p s (digits only) into [@p lo, @p hi];
- *  on a bad value, names @p what on stderr and returns false. */
-bool
-parseCount(const char *what, const char *s, std::uint64_t lo,
-           std::uint64_t hi, std::uint64_t &out)
-{
-    const char *end = s + std::strlen(s);
-    std::uint64_t v = 0;
-    const auto [ptr, ec] = std::from_chars(s, end, v);
-    if (s == end || ptr != end || ec != std::errc() || v < lo || v > hi) {
-        std::fprintf(stderr, "%s: bad value '%s'\n", what, s);
-        return false;
-    }
-    out = v;
-    return true;
-}
-
 /** A value option: `NAME V`, `ALIAS V` or `NAME=V`. It sets either a
  *  string or a count in [lo, hi]. */
 struct Option
@@ -1715,8 +1698,8 @@ sweepMain(int argc, char **argv)
         if (opt) {
             if (opt->text)
                 *opt->text = value;
-            else if (!parseCount(opt->name, value, opt->lo, opt->hi,
-                                 *opt->count))
+            else if (!util::parseCount(opt->name, value, opt->lo,
+                                       opt->hi, *opt->count))
                 return 1;
         } else if (arg == "--list") {
             for (const auto &f : figures())
@@ -1748,10 +1731,10 @@ sweepMain(int argc, char **argv)
     // The budgets must be parsed before any task runs: a malformed
     // value would otherwise silently become a zero or a wrapped budget.
     if (const char *s = std::getenv("MORC_BENCH_INSTR");
-        s && !parseCount("MORC_BENCH_INSTR", s, 1, kMax, g_instr))
+        s && !util::parseCount("MORC_BENCH_INSTR", s, 1, kMax, g_instr))
         return 1;
     if (const char *s = std::getenv("MORC_BENCH_WARMUP");
-        s && !parseCount("MORC_BENCH_WARMUP", s, 0, kMax, g_warmup))
+        s && !util::parseCount("MORC_BENCH_WARMUP", s, 0, kMax, g_warmup))
         return 1;
 
     if (names.empty() || (names.size() == 1 && names[0] == "all")) {

@@ -90,10 +90,7 @@ AdaptiveCache::read(Addr addr)
         r.data = line.data;
         if (line.compressed) {
             r.extraLatency = cfg_.decompressionLatency;
-            r.bytesDecompressed = kLineSize;
-            r.linesDecompressed = 1;
-            stats_.linesDecompressed++;
-            stats_.bytesDecompressed += kLineSize;
+            chargeDecompression(r, 1, kLineSize);
             // A hit that would also have hit uncompressed paid the
             // decompression latency for nothing: vote against.
             if (stackDepth(set, line) < cfg_.ways)
@@ -136,12 +133,8 @@ AdaptiveCache::evictUntilFits(Set &set, unsigned needed_segments,
             result.writebacks.push_back(
                 {victim->tag << kLineShift, victim->data});
             stats_.victimWritebacks++;
-            if (victim->compressed) {
-                result.linesDecompressed++;
-                result.bytesDecompressed += kLineSize;
-                stats_.linesDecompressed++;
-                stats_.bytesDecompressed += kLineSize;
-            }
+            if (victim->compressed)
+                chargeDecompression(result, 1, kLineSize);
         }
         victim->hasData = false;
         victim->dirty = false;
@@ -225,13 +218,7 @@ AdaptiveCache::insert(Addr addr, const CacheLine &data, bool dirty)
     // place, otherwise a program of previously erased segments.
     BitWriter newImage;
     lineImage(data, stored_compressed, newImage);
-    chargeWear(setOf(addr), 0, newImage.sizeBits(),
-               hadData ? energy::flipBits(oldImage.words(),
-                                          oldImage.sizeBits(),
-                                          newImage.words(),
-                                          newImage.sizeBits())
-                       : energy::popcountBits(newImage.words(),
-                                              newImage.sizeBits()));
+    chargeImageWear(setOf(addr), 0, hadData, oldImage, newImage);
     set.lines.push_back(entry);
     valid_++;
     return result;

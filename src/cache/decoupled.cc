@@ -77,12 +77,8 @@ DecoupledCache::evictBlock(Set &set, SuperBlock &block, FillResult &result)
             result.writebacks.push_back(
                 {line_number << kLineShift, l.data});
             stats_.victimWritebacks++;
-            if (l.compressed) {
-                result.linesDecompressed++;
-                result.bytesDecompressed += kLineSize;
-                stats_.linesDecompressed++;
-                stats_.bytesDecompressed += kLineSize;
-            }
+            if (l.compressed)
+                chargeDecompression(result, 1, kLineSize);
         }
         l.valid = false;
         valid_--;
@@ -110,10 +106,7 @@ DecoupledCache::read(Addr addr)
         r.data = l.data;
         if (l.compressed) {
             r.extraLatency = cfg_.decompressionLatency;
-            r.bytesDecompressed = kLineSize;
-            r.linesDecompressed = 1;
-            stats_.linesDecompressed++;
-            stats_.bytesDecompressed += kLineSize;
+            chargeDecompression(r, 1, kLineSize);
         }
         b.lastUse = ++useClock_;
         return r;
@@ -233,15 +226,9 @@ DecoupledCache::insert(Addr addr, const CacheLine &data, bool dirty)
     // the same sub-line is re-programmed, else a fresh program.
     BitWriter newImage;
     subLineImage(data, compressed, newImage);
-    chargeWear(setOf(super_tag),
-               static_cast<std::uint64_t>(block - set.blocks.data()),
-               newImage.sizeBits(),
-               hadData ? energy::flipBits(oldImage.words(),
-                                          oldImage.sizeBits(),
-                                          newImage.words(),
-                                          newImage.sizeBits())
-                       : energy::popcountBits(newImage.words(),
-                                              newImage.sizeBits()));
+    chargeImageWear(setOf(super_tag),
+                    static_cast<std::uint64_t>(block - set.blocks.data()),
+                    hadData, oldImage, newImage);
     block->lastUse = ++useClock_;
     valid_++;
     return result;

@@ -21,6 +21,7 @@
 #include "snapshot/snapshot.hh"
 #include "telemetry/telemetry.hh"
 #include "telemetry/tracer.hh"
+#include "util/bitstream.hh"
 #include "util/types.hh"
 
 namespace morc {
@@ -245,6 +246,35 @@ class Llc : public check::Auditable, public snap::Snapshottable
         stats_.cellBitsWritten += bits_written;
         stats_.cellBitFlips += bit_flips;
         wear_.recordWrite(set, way, bits_written, bit_flips);
+    }
+
+    /** Charge re-programming frame (@p set, @p way) with @p image: the
+     *  cells flipped relative to @p old when the frame held the line's
+     *  previous image (@p had_old), else a program of erased cells. */
+    void
+    chargeImageWear(std::uint64_t set, std::uint64_t way, bool had_old,
+                    const BitWriter &old, const BitWriter &image)
+    {
+        chargeWear(set, way, image.sizeBits(),
+                   had_old ? energy::flipBits(old.words(), old.sizeBits(),
+                                              image.words(),
+                                              image.sizeBits())
+                           : energy::popcountBits(image.words(),
+                                                  image.sizeBits()));
+    }
+
+    /** Charge @p lines decompressed lines, @p bytes of decompressor
+     *  output, to one access's @p result (a ReadResult or FillResult)
+     *  and to the aggregate counters. */
+    template <typename Result>
+    void
+    chargeDecompression(Result &result, std::uint64_t lines,
+                        std::uint64_t bytes)
+    {
+        result.linesDecompressed += static_cast<std::uint32_t>(lines);
+        result.bytesDecompressed += bytes;
+        stats_.linesDecompressed += lines;
+        stats_.bytesDecompressed += bytes;
     }
 
     LlcStats stats_;

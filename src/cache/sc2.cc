@@ -87,10 +87,7 @@ Sc2Cache::read(Addr addr)
         r.data = line.data;
         if (line.compressed) {
             r.extraLatency = cfg_.decompressionLatency;
-            r.bytesDecompressed = kLineSize;
-            r.linesDecompressed = 1;
-            stats_.linesDecompressed++;
-            stats_.bytesDecompressed += kLineSize;
+            chargeDecompression(r, 1, kLineSize);
         }
         line.lastUse = ++useClock_;
         return r;
@@ -159,12 +156,8 @@ Sc2Cache::insert(Addr addr, const CacheLine &data, bool dirty)
             result.writebacks.push_back(
                 {victim->tag << kLineShift, victim->data});
             stats_.victimWritebacks++;
-            if (victim->compressed) {
-                result.linesDecompressed++;
-                result.bytesDecompressed += kLineSize;
-                stats_.linesDecompressed++;
-                stats_.bytesDecompressed += kLineSize;
-            }
+            if (victim->compressed)
+                chargeDecompression(result, 1, kLineSize);
         }
         set.lines.erase(victim);
         valid_--;
@@ -179,13 +172,7 @@ Sc2Cache::insert(Addr addr, const CacheLine &data, bool dirty)
     entry.data = data;
     BitWriter newImage;
     lineImage(data, compressed, newImage);
-    chargeWear(setOf(addr), 0, newImage.sizeBits(),
-               hadData ? energy::flipBits(oldImage.words(),
-                                          oldImage.sizeBits(),
-                                          newImage.words(),
-                                          newImage.sizeBits())
-                       : energy::popcountBits(newImage.words(),
-                                              newImage.sizeBits()));
+    chargeImageWear(setOf(addr), 0, hadData, oldImage, newImage);
     set.lines.push_back(entry);
     valid_++;
     return result;

@@ -65,12 +65,8 @@ ToucheCache::evictSlot(SuperBlock &block, std::size_t idx,
         result.writebacks.push_back(
             {slot.lineNumber << kLineShift, slot.data});
         stats_.victimWritebacks++;
-        if (slot.compressed) {
-            result.linesDecompressed++;
-            result.bytesDecompressed += kLineSize;
-            stats_.linesDecompressed++;
-            stats_.bytesDecompressed += kLineSize;
-        }
+        if (slot.compressed)
+            chargeDecompression(result, 1, kLineSize);
     }
     slot.valid = false;
     valid_--;
@@ -79,16 +75,10 @@ ToucheCache::evictSlot(SuperBlock &block, std::size_t idx,
 void
 ToucheCache::evictBlock(SuperBlock &block, FillResult &result)
 {
-    FillResult scratch;
     for (std::size_t i = 0; i < block.slots.size(); i++) {
         if (block.slots[i].valid)
-            evictSlot(block, i, scratch);
+            evictSlot(block, i, result);
     }
-    result.writebacks.insert(result.writebacks.end(),
-                             scratch.writebacks.begin(),
-                             scratch.writebacks.end());
-    result.linesDecompressed += scratch.linesDecompressed;
-    result.bytesDecompressed += scratch.bytesDecompressed;
     block.valid = false;
     // The data entry is not erased on eviction: its cells keep the old
     // image until the next fill programs over it.
@@ -166,10 +156,7 @@ ToucheCache::read(Addr addr)
             // Probable hit: decompress, then verify the embedded tag.
             if (slot.compressed) {
                 r.extraLatency = cfg_.decompressionLatency;
-                r.bytesDecompressed = kLineSize;
-                r.linesDecompressed = 1;
-                stats_.linesDecompressed++;
-                stats_.bytesDecompressed += kLineSize;
+                chargeDecompression(r, 1, kLineSize);
             }
             if (slot.lineNumber != line_number) {
                 // Signature collision: the decompression was wasted

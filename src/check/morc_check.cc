@@ -75,7 +75,6 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -97,6 +96,7 @@
 #include "snapshot/snapshot.hh"
 #include "sweep/sweep.hh"
 #include "telemetry/tracer.hh"
+#include "util/parse.hh"
 #include "util/rng.hh"
 #include "util/types.hh"
 
@@ -1025,12 +1025,14 @@ usage(const char *argv0)
         "\n"
         "Differential fuzz: replay a seeded adversarial access stream\n"
         "through a cache scheme in lockstep with a reference memory\n"
-        "model, auditing structural invariants every N operations.\n"
+        "model, auditing structural invariants every N operations\n"
+        "(N = 0: one final audit). Numbers are decimal; --ops is at\n"
+        "least 1.\n"
         "\n"
         "--mesh WxH shards the scheme into W*H address-interleaved\n"
-        "banks (the tiled-substrate LLC) and additionally enforces\n"
-        "cross-bank exclusivity: a hit on any foreign bank is a\n"
-        "divergence.\n"
+        "banks (the tiled-substrate LLC, W and H in 1..64) and\n"
+        "additionally enforces cross-bank exclusivity: a hit on any\n"
+        "foreign bank is a divergence.\n"
         "\n"
         "--events attaches the telemetry event tracer and cross-checks\n"
         "traced log_flush / lmt_conflict_evict counts against the\n"
@@ -1058,6 +1060,8 @@ usage(const char *argv0)
 int
 run(int argc, char **argv)
 {
+    constexpr std::uint64_t kMax = UINT64_MAX;
+    constexpr std::uint64_t kMaxMeshSide = 64;
     Options opt;
     for (int i = 1; i < argc; i++) {
         const std::string arg = argv[i];
@@ -1071,32 +1075,34 @@ run(int argc, char **argv)
             opt.scheme = v;
         } else if (arg == "--ops") {
             const char *v = value();
-            if (!v)
+            if (!v || !util::parseCount("--ops", v, 1, kMax, opt.ops))
                 return usage(argv[0]);
-            opt.ops = std::strtoull(v, nullptr, 0);
         } else if (arg == "--seed") {
             const char *v = value();
-            if (!v)
+            if (!v || !util::parseCount("--seed", v, 0, kMax, opt.seed))
                 return usage(argv[0]);
-            opt.seed = std::strtoull(v, nullptr, 0);
         } else if (arg == "--audit-every") {
             const char *v = value();
-            if (!v)
+            if (!v || !util::parseCount("--audit-every", v, 0, kMax,
+                                        opt.auditEvery))
                 return usage(argv[0]);
-            opt.auditEvery = std::strtoull(v, nullptr, 0);
         } else if (arg == "--mesh") {
             const char *v = value();
             if (!v)
                 return usage(argv[0]);
-            char *end = nullptr;
-            opt.meshWidth =
-                static_cast<unsigned>(std::strtoul(v, &end, 10));
-            if (!end || *end != 'x')
+            const char *x = std::strchr(v, 'x');
+            std::uint64_t w = 0;
+            std::uint64_t h = 0;
+            if (!x ||
+                !util::parseCount(
+                    std::string_view(v, static_cast<std::size_t>(x - v)),
+                    1, kMaxMeshSide, w) ||
+                !util::parseCount(x + 1, 1, kMaxMeshSide, h)) {
+                std::fprintf(stderr, "--mesh: bad value '%s'\n", v);
                 return usage(argv[0]);
-            opt.meshHeight =
-                static_cast<unsigned>(std::strtoul(end + 1, nullptr, 10));
-            if (!opt.mesh())
-                return usage(argv[0]);
+            }
+            opt.meshWidth = static_cast<unsigned>(w);
+            opt.meshHeight = static_cast<unsigned>(h);
         } else if (arg == "--events") {
             opt.events = true;
         } else if (arg == "--snapshot") {

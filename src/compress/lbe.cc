@@ -83,7 +83,7 @@ lookupNode(std::uint32_t left, std::uint32_t right,
     if (i >= 0)
         return static_cast<std::uint32_t>(i) + 1;
     // The pending overlay holds at most this line's few new nodes;
-    // a direct scan beats the vector kernel's dispatch cost.
+    // a direct scan beats an out-of-line vector kernel call.
     for (std::size_t p = 0; p < pending.size(); p++) {
         if (pending[p] == key) {
             return static_cast<std::uint32_t>(committed.size() + p) + 1;
@@ -290,8 +290,8 @@ LbeEncoder::encodeLine(const LbeLinePlan &plan, Overlay &ov,
                 return hashPos_[static_cast<unsigned>(cpos[i])];
             // The overlay holds at most this line's few insertions;
             // a direct first-match scan (identical semantics) beats
-            // the vector kernel's call + dispatch cost. Read size and
-            // data fresh each call: the overlay grows mid-line.
+            // an out-of-line vector kernel call. Read size and data
+            // fresh each call: the overlay grows mid-line.
             for (std::size_t p = 0; p < ov.words.size(); p++) {
                 if (ov.words[p] == w[i]) {
                     return static_cast<std::uint32_t>(values32_.size() +

@@ -121,11 +121,7 @@ LogCache::invalidateEntry(std::uint64_t slot, cache::FillResult &result)
                 result.writebacks.push_back(
                     {e.lineNum << kLineShift, line.data});
                 stats_.victimWritebacks++;
-                const std::uint64_t bytes = divCeil(g.dataBits, 8);
-                result.bytesDecompressed += bytes;
-                result.linesDecompressed++;
-                stats_.bytesDecompressed += bytes;
-                stats_.linesDecompressed++;
+                chargeDecompression(result, 1, divCeil(g.dataBits, 8));
             }
             line.valid = false;
             g.validCount--;
@@ -190,11 +186,7 @@ LogCache::flushLog(std::uint32_t log_idx, cache::FillResult &result)
                         log_idx, g.validCount);
     }
     // A whole-log eviction decompresses the entire stream once.
-    const std::uint64_t bytes = divCeil(g.dataBits, 8);
-    result.bytesDecompressed += bytes;
-    result.linesDecompressed += static_cast<std::uint32_t>(g.lines.size());
-    stats_.bytesDecompressed += bytes;
-    stats_.linesDecompressed += g.lines.size();
+    chargeDecompression(result, g.lines.size(), divCeil(g.dataBits, 8));
 
     for (const auto &line : g.lines) {
         if (!line.valid)
@@ -377,11 +369,8 @@ LogCache::read(Addr addr)
         r.extraLatency += cfg_.parallelTagData
                               ? std::max(tag_cycles, data_cycles)
                               : tag_cycles + data_cycles;
-        r.bytesDecompressed += bytes;
-        r.linesDecompressed += static_cast<std::uint32_t>(pos + 1);
         stats_.readHits++;
-        stats_.bytesDecompressed += bytes;
-        stats_.linesDecompressed += pos + 1;
+        chargeDecompression(r, pos + 1, bytes);
     };
 
     if (cfg_.unlimitedMeta) {

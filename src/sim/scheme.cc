@@ -1,5 +1,7 @@
 #include "sim/scheme.hh"
 
+#include <iterator>
+
 #include "cache/adaptive.hh"
 #include "cache/decoupled.hh"
 #include "cache/ideal.hh"
@@ -10,40 +12,48 @@
 namespace morc {
 namespace sim {
 
-const char *
-schemeName(Scheme s)
-{
-    switch (s) {
-      case Scheme::Uncompressed: return "Uncompressed";
-      case Scheme::Uncompressed8x: return "Uncompressed8x";
-      case Scheme::Adaptive: return "Adaptive";
-      case Scheme::Decoupled: return "Decoupled";
-      case Scheme::Sc2: return "SC2";
-      case Scheme::Morc: return "MORC";
-      case Scheme::MorcMerged: return "MORCMerged";
-      case Scheme::OracleIntra: return "Oracle-Intra";
-      case Scheme::OracleInter: return "Oracle-Inter";
-      case Scheme::Touche: return "Touche";
-    }
-    return "?";
-}
+namespace {
 
-const std::vector<SchemeInfo> &
+using energy::Engine;
+
+constexpr SchemeInfo kRegistry[] = {
+    {Scheme::Uncompressed, "Uncompressed", "uncompressed", Engine::None},
+    {Scheme::Uncompressed8x, "Uncompressed8x", "uncompressed8x",
+     Engine::None},
+    {Scheme::Adaptive, "Adaptive", "adaptive", Engine::CPack},
+    {Scheme::Decoupled, "Decoupled", "decoupled", Engine::CPack},
+    {Scheme::Sc2, "SC2", "sc2", Engine::Sc2},
+    {Scheme::Morc, "MORC", "morc", Engine::Lbe},
+    {Scheme::MorcMerged, "MORCMerged", "morc-merged", Engine::Lbe},
+    {Scheme::OracleIntra, "Oracle-Intra", "oracle-intra", Engine::None},
+    {Scheme::OracleInter, "Oracle-Inter", "oracle-inter", Engine::None},
+    {Scheme::Touche, "Touche", "touche", Engine::CPack},
+};
+
+/** schemeInfo() indexes the registry by enum value. */
+constexpr bool
+rowsInEnumOrder()
+{
+    for (std::size_t i = 0; i < std::size(kRegistry); i++) {
+        if (static_cast<std::size_t>(kRegistry[i].scheme) != i)
+            return false;
+    }
+    return true;
+}
+static_assert(rowsInEnumOrder(), "registry rows must follow the enum");
+
+} // namespace
+
+std::span<const SchemeInfo>
 allSchemes()
 {
-    static const std::vector<SchemeInfo> kRegistry = {
-        {Scheme::Uncompressed, "Uncompressed", "uncompressed"},
-        {Scheme::Uncompressed8x, "Uncompressed8x", "uncompressed8x"},
-        {Scheme::Adaptive, "Adaptive", "adaptive"},
-        {Scheme::Decoupled, "Decoupled", "decoupled"},
-        {Scheme::Sc2, "SC2", "sc2"},
-        {Scheme::Morc, "MORC", "morc"},
-        {Scheme::MorcMerged, "MORCMerged", "morc-merged"},
-        {Scheme::OracleIntra, "Oracle-Intra", "oracle-intra"},
-        {Scheme::OracleInter, "Oracle-Inter", "oracle-inter"},
-        {Scheme::Touche, "Touche", "touche"},
-    };
     return kRegistry;
+}
+
+const SchemeInfo &
+schemeInfo(Scheme s)
+{
+    return kRegistry[static_cast<std::size_t>(s)];
 }
 
 bool
@@ -60,34 +70,6 @@ schemeFromCliName(const std::string &name, Scheme *out)
         }
     }
     return false;
-}
-
-energy::Engine
-schemeEngine(Scheme s)
-{
-    switch (s) {
-      case Scheme::Adaptive:
-      case Scheme::Decoupled:
-      case Scheme::Touche:
-        return energy::Engine::CPack;
-      case Scheme::Sc2:
-        return energy::Engine::Sc2;
-      case Scheme::Morc:
-      case Scheme::MorcMerged:
-        return energy::Engine::Lbe;
-      default:
-        return energy::Engine::None;
-    }
-}
-
-unsigned
-schemeBaseDecompressionLatency(Scheme s)
-{
-    (void)s;
-    // Prior schemes charge a flat +4 cycles; that is already returned
-    // via ReadResult::extraLatency by each model, so nothing flat is
-    // added here. Kept as an extension point for latency studies.
-    return 0;
 }
 
 std::unique_ptr<cache::Llc>

@@ -7,8 +7,8 @@
 #define MORC_SIM_SCHEME_HH
 
 #include <memory>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "cache/llc.hh"
 #include "core/morc.hh"
@@ -32,35 +32,37 @@ enum class Scheme
     Touche, // appended last: earlier values are config fingerprints
 };
 
-/** Display name matching the paper's legends. */
-const char *schemeName(Scheme s);
-
-/** One registry row: the enum value, its display name, and the
- *  lower-case name CLI tools accept. */
+/** One registry row: the enum value, its display name, the
+ *  lower-case name CLI tools accept, and its compression engine. */
 struct SchemeInfo
 {
     Scheme scheme;
-    const char *name;    // schemeName() spelling
-    const char *cliName; // morc_check / run_benches spelling
+    const char *name;      // display name matching the paper's legends
+    const char *cliName;   // morc_check / run_benches spelling
+    energy::Engine engine; // compression engine (for the energy model)
 };
 
 /**
- * The single authoritative scheme list. Every enumerating surface
- * (morc_check --scheme=all, run_benches --smoke, design-space arenas,
- * the lifetime figure) iterates this registry, so a scheme added here
- * appears everywhere at once.
+ * The single authoritative scheme list, in enum order. Every
+ * enumerating surface (morc_check --scheme=all, run_benches --smoke,
+ * design-space arenas, the lifetime figure) iterates this registry, so
+ * a scheme added here appears everywhere at once.
  */
-const std::vector<SchemeInfo> &allSchemes();
+std::span<const SchemeInfo> allSchemes();
+
+/** The registry row of @p s. */
+const SchemeInfo &schemeInfo(Scheme s);
+
+/** Display name matching the paper's legends. */
+inline const char *
+schemeName(Scheme s)
+{
+    return schemeInfo(s).name;
+}
 
 /** Parse a CLI scheme name (also accepts the legacy "ideal" alias for
  *  oracle-intra). @return false when @p name is unknown. */
 bool schemeFromCliName(const std::string &name, Scheme *out);
-
-/** Compression engine used by @p s (for the energy model). */
-energy::Engine schemeEngine(Scheme s);
-
-/** Flat LLC base latency add-on used by prior work (+4 cycles). */
-unsigned schemeBaseDecompressionLatency(Scheme s);
 
 /**
  * Build an LLC of @p scheme with @p capacity_bytes of data storage.

@@ -66,8 +66,6 @@ System::System(const SystemConfig &cfg,
                const std::vector<trace::BenchmarkSpec> &programs)
     : cfg_(cfg),
       llc_(buildLlc(cfg)),
-      channel_(cfg.bandwidthPerCore * cfg.numCores, cfg.clockHz,
-               cfg.dramCycles),
       ratioSampler_(cfg.ratioSampleInterval)
 {
     MORC_CHECK(programs.size() == cfg.numCores,
@@ -84,16 +82,16 @@ System::System(const SystemConfig &cfg,
         banked_ = dynamic_cast<mesh::BankedLlc *>(llc_.get());
         MORC_CHECK(banked_ != nullptr, "mesh path without a banked LLC");
         noc_ = std::make_unique<mesh::Noc>(cfg_.meshCfg);
-        // The same aggregate bandwidth budget as the flat channel,
-        // split evenly over the edge controllers.
-        const double per_channel = cfg_.bandwidthPerCore *
-                                   cfg_.numCores /
-                                   cfg_.meshCfg.memControllers;
-        channels_.reserve(cfg_.meshCfg.memControllers);
-        for (unsigned c = 0; c < cfg_.meshCfg.memControllers; c++)
-            channels_.emplace_back(per_channel, cfg_.clockHz,
-                                   cfg_.dramCycles);
     }
+    // One aggregate bandwidth budget, split evenly over the mesh's edge
+    // controllers; the flat system is the one-controller case.
+    const unsigned controllers =
+        cfg_.useMesh ? cfg_.meshCfg.memControllers : 1;
+    const double per_channel =
+        cfg_.bandwidthPerCore * cfg_.numCores / controllers;
+    channels_.reserve(controllers);
+    for (unsigned c = 0; c < controllers; c++)
+        channels_.emplace_back(per_channel, cfg_.clockHz, cfg_.dramCycles);
     setupTelemetry();
 }
 
@@ -126,14 +124,11 @@ System::setupTelemetry()
         return double(n);
     });
     llc_->registerProbes(*telemetry_, "llc");
-    if (noc_) {
+    if (noc_)
         noc_->registerProbes(*telemetry_, "noc");
-        for (std::size_t c = 0; c < channels_.size(); c++) {
-            channels_[c].registerProbes(*telemetry_,
-                                        "mem" + std::to_string(c));
-        }
-    } else {
-        channel_.registerProbes(*telemetry_, "mem");
+    for (std::size_t c = 0; c < channels_.size(); c++) {
+        channels_[c].registerProbes(
+            *telemetry_, noc_ ? "mem" + std::to_string(c) : "mem");
     }
 }
 
@@ -175,7 +170,7 @@ System::handleWritebacks(const cache::FillResult &fr, Cycles now)
                                      kLineSize, now);
             channels_[ctrl].writeAccess(arrival);
         } else {
-            channel_.writeAccess(now);
+            channels_[0].writeAccess(now);
         }
         dramWrite(wb.addr, wb.data);
     }
@@ -266,7 +261,8 @@ System::step(unsigned core_idx)
             latency += meshMemoryRead(ref.addr, home_tile,
                                       m.cycles + latency);
         else
-            latency += channel_.readAccess(m.cycles + cfg_.llcLatency);
+            latency +=
+                channels_[0].readAccess(m.cycles + cfg_.llcLatency);
         data = dramFetch(core_idx, ref.addr);
         // Non-inclusive fill policy (Section 5.4.2): read misses fill
         // the LLC; write misses fill only the L1 unless the inclusive
@@ -403,7 +399,6 @@ System::warmup(std::uint64_t warmup_per_core)
     }
     llc_->stats().clear();
     llc_->clearWear();
-    channel_.clearCounters();
     if (banked_)
         banked_->clearAllStats();
     for (auto &ch : channels_)
@@ -441,19 +436,16 @@ System::measure(std::uint64_t instructions_per_core)
         out.cores.push_back(core.result);
     out.compressionRatio =
         ratioSampler_.mean(llc_->compressionRatio());
+    for (const auto &ch : channels_) {
+        out.memReads += ch.reads();
+        out.memWrites += ch.writes();
+    }
     if (noc_) {
-        for (const auto &ch : channels_) {
-            out.memReads += ch.reads();
-            out.memWrites += ch.writes();
-        }
         out.meshed = true;
         out.nocMessages = noc_->messages();
         out.nocMeanHops = noc_->meanHops();
         out.nocHopHist = noc_->hopHistogram();
         out.nocQueueHist = noc_->queueHistogram();
-    } else {
-        out.memReads = channel_.reads();
-        out.memWrites = channel_.writes();
     }
     out.totalInstructions = totalInstructions_;
     for (const auto &core : cores_)
@@ -480,7 +472,7 @@ System::measure(std::uint64_t instructions_per_core)
     const double capacity_ratio =
         cfg_.scheme == Scheme::Uncompressed8x ? 8.0 : 1.0;
     out.energyBreakdown =
-        energy::integrate(ev, schemeEngine(cfg_.scheme),
+        energy::integrate(ev, schemeInfo(cfg_.scheme).engine,
                           energy::EnergyParams{}, capacity_ratio,
                           cfg_.numCores);
 
@@ -594,13 +586,10 @@ System::walk(Self &self, IO &io)
         });
 
         io.part(*self.llc_);
-        if (self.noc_) {
+        if (self.noc_)
             io.part(*self.noc_);
-            for (auto &ch : self.channels_)
-                io.part(ch);
-        } else {
-            io.part(self.channel_);
-        }
+        for (auto &ch : self.channels_)
+            io.part(ch);
         if (self.telemetry_)
             io.part(*self.telemetry_);
         if (self.tracer_)

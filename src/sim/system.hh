@@ -318,16 +318,18 @@ class System
 
     SystemConfig cfg_;
     std::unique_ptr<cache::Llc> llc_;
-    MemoryChannel channel_;
     std::vector<Core> cores_;
     std::unordered_map<Addr, CacheLine> dram_;
     std::uint64_t totalInstructions_ = 0;
     stats::PeriodicSampler ratioSampler_;
     bool warmed_ = false;
 
-    /** Mesh-substrate state (null/empty on the flat path). */
-    std::unique_ptr<mesh::Noc> noc_;
+    /** One memory channel per controller: a single one on the flat
+     *  path, meshCfg.memControllers on the mesh. */
     std::vector<MemoryChannel> channels_;
+
+    /** Mesh-substrate state (null on the flat path). */
+    std::unique_ptr<mesh::Noc> noc_;
     mesh::BankedLlc *banked_ = nullptr; // owned by llc_; morc-analyze: allow(snapshot-completeness) alias, snapshotted via llc_
 
     /** Telemetry (null when off). Declared after every probed member:

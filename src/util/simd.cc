@@ -1,94 +1,23 @@
 #include "util/simd.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <cstring>
-
 #if defined(__x86_64__) && !defined(MORC_FORCE_SCALAR)
-#define MORC_SIMD_X86 1
-#include <immintrin.h>
+#define MORC_SIMD_SSE2 1
+#include <emmintrin.h>
 #endif
 
 namespace morc {
 namespace simd {
 
-namespace {
+#ifdef MORC_SIMD_SSE2
 
 // ---------------------------------------------------------------------
-// Scalar reference kernels. These define the semantics; the vector
-// versions below must (and do) return identical results.
-// ---------------------------------------------------------------------
-
-int
-findU32Scalar(const std::uint32_t *a, std::size_t n, std::uint32_t key)
-{
-    for (std::size_t i = 0; i < n; i++) {
-        if (a[i] == key)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-int
-findU64Scalar(const std::uint64_t *a, std::size_t n, std::uint64_t key)
-{
-    for (std::size_t i = 0; i < n; i++) {
-        if (a[i] == key)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-unsigned
-zeroMask8Scalar(const std::uint32_t *w)
-{
-    unsigned m = 0;
-    for (unsigned i = 0; i < 8; i++)
-        m |= (w[i] == 0 ? 1u : 0u) << i;
-    return m;
-}
-
-void
-hashFind8Scalar(const std::uint32_t *slots, unsigned groupsLog2,
-                const std::uint32_t *w, unsigned skip, int *out)
-{
-    const unsigned gmask = (1u << groupsLog2) - 1;
-    for (unsigned i = 0; i < 8; i++) {
-        if ((skip >> i) & 1)
-            continue;
-        const std::uint32_t v = w[i];
-        unsigned g = hashGroup(v, groupsLog2);
-        int res = -1;
-        for (;;) {
-            const std::uint32_t *grp = slots + std::size_t{g} * 8;
-            // A match anywhere in the group wins over an empty slot:
-            // insertion fills the first empty slot, so a present value
-            // always precedes the empties of its probe sequence.
-            bool empty = false;
-            unsigned k = 0;
-            for (; k < 8; k++) {
-                if (grp[k] == v) {
-                    res = static_cast<int>(g * 8 + k);
-                    break;
-                }
-                empty = empty || grp[k] == 0;
-            }
-            if (k < 8 || empty)
-                break;
-            g = (g + 1) & gmask;
-        }
-        out[i] = res;
-    }
-}
-
-#ifdef MORC_SIMD_X86
-
-// ---------------------------------------------------------------------
-// SSE2 (x86-64 baseline, always compiled on x86-64).
+// SSE2: part of the x86-64 baseline ISA, so no CPU check is needed. The
+// scalar reference in the #else branch defines the semantics; these
+// return identical results.
 // ---------------------------------------------------------------------
 
 int
-findU32Sse2(const std::uint32_t *a, std::size_t n, std::uint32_t key)
+findU32(const std::uint32_t *a, std::size_t n, std::uint32_t key)
 {
     const __m128i vkey = _mm_set1_epi32(static_cast<int>(key));
     std::size_t i = 0;
@@ -108,7 +37,7 @@ findU32Sse2(const std::uint32_t *a, std::size_t n, std::uint32_t key)
 }
 
 int
-findU64Sse2(const std::uint64_t *a, std::size_t n, std::uint64_t key)
+findU64(const std::uint64_t *a, std::size_t n, std::uint64_t key)
 {
     // SSE2 has no 64-bit compare; compare 32-bit halves and require a
     // fully-set 8-byte group per lane.
@@ -130,9 +59,24 @@ findU64Sse2(const std::uint64_t *a, std::size_t n, std::uint64_t key)
     return -1;
 }
 
+unsigned
+zeroMask8(const std::uint32_t *w)
+{
+    const __m128i zero = _mm_setzero_si128();
+    const __m128i lo =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(w));
+    const __m128i hi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(w + 4));
+    const unsigned mlo = static_cast<unsigned>(
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(lo, zero))));
+    const unsigned mhi = static_cast<unsigned>(
+        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(hi, zero))));
+    return mlo | (mhi << 4);
+}
+
 void
-hashFind8Sse2(const std::uint32_t *slots, unsigned groupsLog2,
-              const std::uint32_t *w, unsigned skip, int *out)
+hashFind8(const std::uint32_t *slots, unsigned groupsLog2,
+          const std::uint32_t *w, unsigned skip, int *out)
 {
     const unsigned gmask = (1u << groupsLog2) - 1;
     const __m128i zero = _mm_setzero_si128();
@@ -174,246 +118,76 @@ hashFind8Sse2(const std::uint32_t *slots, unsigned groupsLog2,
     }
 }
 
-unsigned
-zeroMask8Sse2(const std::uint32_t *w)
-{
-    const __m128i zero = _mm_setzero_si128();
-    const __m128i lo =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(w));
-    const __m128i hi =
-        _mm_loadu_si128(reinterpret_cast<const __m128i *>(w + 4));
-    const unsigned mlo = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(lo, zero))));
-    const unsigned mhi = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(hi, zero))));
-    return mlo | (mhi << 4);
-}
+#else // !MORC_SIMD_SSE2
 
 // ---------------------------------------------------------------------
-// AVX2, compiled with a function-level target attribute so the rest of
-// the binary needs no -mavx2 and runs on any x86-64.
+// Scalar reference: every non-x86-64 target and the force-scalar build.
+// These define the semantics the SSE2 kernels above reproduce.
 // ---------------------------------------------------------------------
-
-__attribute__((target("avx2"))) int
-findU32Avx2(const std::uint32_t *a, std::size_t n, std::uint32_t key)
-{
-    const __m256i vkey = _mm256_set1_epi32(static_cast<int>(key));
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i v =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i));
-        const int m = _mm256_movemask_ps(
-            _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, vkey)));
-        if (m)
-            return static_cast<int>(i) + __builtin_ctz(static_cast<unsigned>(m));
-    }
-    for (; i < n; i++) {
-        if (a[i] == key)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-__attribute__((target("avx2"))) int
-findU64Avx2(const std::uint64_t *a, std::size_t n, std::uint64_t key)
-{
-    const __m256i vkey = _mm256_set1_epi64x(static_cast<long long>(key));
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i));
-        const int m = _mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(v, vkey)));
-        if (m)
-            return static_cast<int>(i) + __builtin_ctz(static_cast<unsigned>(m));
-    }
-    for (; i < n; i++) {
-        if (a[i] == key)
-            return static_cast<int>(i);
-    }
-    return -1;
-}
-
-__attribute__((target("avx2"))) void
-hashFind8Avx2(const std::uint32_t *slots, unsigned groupsLog2,
-              const std::uint32_t *w, unsigned skip, int *out)
-{
-    const unsigned gmask = (1u << groupsLog2) - 1;
-    const __m256i zero = _mm256_setzero_si256();
-    for (unsigned i = 0; i < 8; i++) {
-        if ((skip >> i) & 1)
-            continue;
-        const std::uint32_t v = w[i];
-        const __m256i vk = _mm256_set1_epi32(static_cast<int>(v));
-        unsigned g = hashGroup(v, groupsLog2);
-        for (;;) {
-            const __m256i grp = _mm256_loadu_si256(
-                reinterpret_cast<const __m256i *>(slots +
-                                                  std::size_t{g} * 8));
-            const unsigned match =
-                static_cast<unsigned>(_mm256_movemask_ps(
-                    _mm256_castsi256_ps(_mm256_cmpeq_epi32(grp, vk))));
-            if (match) { // values unique: exactly one slot can match
-                out[i] = static_cast<int>(
-                    g * 8 + static_cast<unsigned>(__builtin_ctz(match)));
-                break;
-            }
-            const unsigned empty =
-                static_cast<unsigned>(_mm256_movemask_ps(
-                    _mm256_castsi256_ps(_mm256_cmpeq_epi32(grp, zero))));
-            if (empty) {
-                out[i] = -1;
-                break;
-            }
-            g = (g + 1) & gmask;
-        }
-    }
-}
-
-__attribute__((target("avx2"))) unsigned
-zeroMask8Avx2(const std::uint32_t *w)
-{
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(w));
-    const int m = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(v, _mm256_setzero_si256())));
-    return static_cast<unsigned>(m);
-}
-
-#endif // MORC_SIMD_X86
-
-// ---------------------------------------------------------------------
-// Dispatch. The active level lives in a relaxed atomic: resolution is
-// idempotent (same inputs, same answer), so a racing first use from
-// two sweep threads is benign and TSan-clean.
-// ---------------------------------------------------------------------
-
-constexpr int kUnresolved = -1;
-
-std::atomic<int> g_active{kUnresolved};
-
-Level
-resolveFromEnv()
-{
-    const Level best = bestSupported();
-    // Read once before any worker threads exist (the resolved level is
-    // cached in g_active), so the env scan cannot race a setenv.
-    const char *env = std::getenv("MORC_SIMD"); // NOLINT(concurrency-mt-unsafe)
-    if (!env)
-        return best;
-    Level want = best;
-    if (std::strcmp(env, "scalar") == 0)
-        want = Level::Scalar;
-    else if (std::strcmp(env, "sse2") == 0)
-        want = Level::Sse2;
-    else if (std::strcmp(env, "avx2") == 0)
-        want = Level::Avx2;
-    return want <= best ? want : best;
-}
-
-} // namespace
-
-const char *
-levelName(Level l)
-{
-    switch (l) {
-      case Level::Scalar: return "scalar";
-      case Level::Sse2: return "sse2";
-      case Level::Avx2: return "avx2";
-    }
-    return "?";
-}
-
-Level
-bestSupported()
-{
-#ifdef MORC_SIMD_X86
-    if (__builtin_cpu_supports("avx2"))
-        return Level::Avx2;
-    return Level::Sse2; // x86-64 baseline
-#else
-    return Level::Scalar;
-#endif
-}
-
-Level
-activeLevel()
-{
-    int v = g_active.load(std::memory_order_relaxed);
-    if (v == kUnresolved) {
-        v = static_cast<int>(resolveFromEnv());
-        g_active.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<Level>(v);
-}
-
-Level
-forceLevel(Level l)
-{
-    const Level best = bestSupported();
-    const Level eff = l <= best ? l : best;
-    g_active.store(static_cast<int>(eff), std::memory_order_relaxed);
-    return eff;
-}
-
-void
-resetLevel()
-{
-    g_active.store(kUnresolved, std::memory_order_relaxed);
-}
 
 int
 findU32(const std::uint32_t *a, std::size_t n, std::uint32_t key)
 {
-#ifdef MORC_SIMD_X86
-    switch (activeLevel()) {
-      case Level::Avx2: return findU32Avx2(a, n, key);
-      case Level::Sse2: return findU32Sse2(a, n, key);
-      default: break;
+    for (std::size_t i = 0; i < n; i++) {
+        if (a[i] == key)
+            return static_cast<int>(i);
     }
-#endif
-    return findU32Scalar(a, n, key);
+    return -1;
 }
 
 int
 findU64(const std::uint64_t *a, std::size_t n, std::uint64_t key)
 {
-#ifdef MORC_SIMD_X86
-    switch (activeLevel()) {
-      case Level::Avx2: return findU64Avx2(a, n, key);
-      case Level::Sse2: return findU64Sse2(a, n, key);
-      default: break;
+    for (std::size_t i = 0; i < n; i++) {
+        if (a[i] == key)
+            return static_cast<int>(i);
     }
-#endif
-    return findU64Scalar(a, n, key);
+    return -1;
 }
 
 unsigned
 zeroMask8(const std::uint32_t *w)
 {
-#ifdef MORC_SIMD_X86
-    switch (activeLevel()) {
-      case Level::Avx2: return zeroMask8Avx2(w);
-      case Level::Sse2: return zeroMask8Sse2(w);
-      default: break;
-    }
-#endif
-    return zeroMask8Scalar(w);
+    unsigned m = 0;
+    for (unsigned i = 0; i < 8; i++)
+        m |= (w[i] == 0 ? 1u : 0u) << i;
+    return m;
 }
 
 void
 hashFind8(const std::uint32_t *slots, unsigned groupsLog2,
           const std::uint32_t *w, unsigned skip, int *out)
 {
-#ifdef MORC_SIMD_X86
-    switch (activeLevel()) {
-      case Level::Avx2: hashFind8Avx2(slots, groupsLog2, w, skip, out); return;
-      case Level::Sse2: hashFind8Sse2(slots, groupsLog2, w, skip, out); return;
-      default: break;
+    const unsigned gmask = (1u << groupsLog2) - 1;
+    for (unsigned i = 0; i < 8; i++) {
+        if ((skip >> i) & 1)
+            continue;
+        const std::uint32_t v = w[i];
+        unsigned g = hashGroup(v, groupsLog2);
+        int res = -1;
+        for (;;) {
+            const std::uint32_t *grp = slots + std::size_t{g} * 8;
+            // A match anywhere in the group wins over an empty slot:
+            // insertion fills the first empty slot, so a present value
+            // always precedes the empties of its probe sequence.
+            bool empty = false;
+            unsigned k = 0;
+            for (; k < 8; k++) {
+                if (grp[k] == v) {
+                    res = static_cast<int>(g * 8 + k);
+                    break;
+                }
+                empty = empty || grp[k] == 0;
+            }
+            if (k < 8 || empty)
+                break;
+            g = (g + 1) & gmask;
+        }
+        out[i] = res;
     }
-#endif
-    hashFind8Scalar(slots, groupsLog2, w, skip, out);
 }
+
+#endif // MORC_SIMD_SSE2
 
 } // namespace simd
 } // namespace morc

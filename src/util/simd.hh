@@ -1,7 +1,7 @@
 /**
  * @file
- * SIMD kernels for the compression hot path, behind compile-time and
- * runtime dispatch with a scalar reference implementation.
+ * SIMD kernels for the compression hot path, with a scalar reference
+ * implementation.
  *
  * Every kernel is an *exact* search/compare primitive — first-match
  * index or a zero-lane mask — so all implementations return bit-for-bit
@@ -11,18 +11,13 @@
  * <=255 tree nodes) and reset per log, so a vector scan beats hashing
  * while keeping the dictionary a plain flat array.
  *
- * Dispatch:
- *  - compile-time: `MORC_FORCE_SCALAR` (CMake `-DMORC_FORCE_SCALAR=ON`)
- *    compiles the scalar reference only — the CI matrix proves goldens
- *    do not depend on the vector units.
- *  - runtime: the best ISA the CPU supports is picked on first use
- *    (AVX2 via `__builtin_cpu_supports`, else SSE2, else scalar). The
- *    AVX2 kernels are compiled with a function-level target attribute,
- *    so no global `-mavx2` flag is needed and the binary stays safe on
- *    older hosts.
- *  - override: `forceLevel()` (test hook) or the `MORC_SIMD`
- *    environment variable (`scalar` / `sse2` / `avx2`) pin a level;
- *    requesting an unsupported level falls back to the best available.
+ * Each build compiles exactly one implementation of each kernel, picked
+ * by the compiler: SSE2 on x86-64, where it is part of the baseline ISA
+ * and needs no CPU check, and the scalar reference everywhere else and
+ * under `MORC_FORCE_SCALAR` (CMake `-DMORC_FORCE_SCALAR=ON`, the
+ * `force-scalar` preset) — the CI matrix proves goldens do not depend
+ * on the vector units. The kernels are pure functions with no global
+ * state.
  */
 
 #ifndef MORC_UTIL_SIMD_HH
@@ -33,26 +28,6 @@
 
 namespace morc {
 namespace simd {
-
-enum class Level : std::uint8_t { Scalar = 0, Sse2 = 1, Avx2 = 2 };
-
-/** Name for reports/tests ("scalar", "sse2", "avx2"). */
-const char *levelName(Level l);
-
-/** Best level this binary + CPU supports. */
-Level bestSupported();
-
-/** Level the kernels currently dispatch to. */
-Level activeLevel();
-
-/**
- * Test hook: pin dispatch to @p l (clamped to bestSupported()).
- * Returns the level actually activated.
- */
-Level forceLevel(Level l);
-
-/** Drop any override and re-resolve from MORC_SIMD / the CPU. */
-void resetLevel();
 
 /**
  * First index i < n with a[i] == key, or -1.
@@ -82,8 +57,8 @@ unsigned zeroMask8(const std::uint32_t *w);
  * slot index holding w[i], or -1 when absent. Lanes with their skip
  * bit set are untouched.
  *
- * Each group is checked with one 8-wide vector compare (two on SSE2):
- * a match anywhere in the group wins; otherwise an empty slot in the
+ * Each group is checked with two 4-wide vector compares on SSE2: a
+ * match anywhere in the group wins; otherwise an empty slot in the
  * group proves absence (insertion never skips past an empty slot);
  * otherwise probing continues at the next group. Values must be unique
  * in the table, so all implementations agree on the matched slot.
