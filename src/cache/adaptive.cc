@@ -156,6 +156,8 @@ AdaptiveCache::evictUntilFits(Set &set, unsigned needed_segments,
                 result.writebacks.push_back(
                     {victim->tag << kLineShift, victim->data});
                 stats_.victimWritebacks++;
+                if (victim->compressed)
+                    chargeDecompression(result, 1, kLineSize);
             }
             valid_--;
         }

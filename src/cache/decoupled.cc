@@ -204,6 +204,8 @@ DecoupledCache::insert(Addr addr, const CacheLine &data, bool dirty)
                         block->tag * cfg_.linesPerSuperBlock + i;
                     result.writebacks.push_back({ln << kLineShift, l.data});
                     stats_.victimWritebacks++;
+                    if (l.compressed)
+                        chargeDecompression(result, 1, kLineSize);
                 }
                 l.valid = false;
                 valid_--;

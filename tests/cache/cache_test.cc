@@ -170,7 +170,49 @@ TEST(Adaptive, PredictorTurnsCompressionOff)
     EXPECT_LT(c.predictor(), before); // decompression penalties voted
 }
 
+TEST(Adaptive, TagPressureWritebackChargesDecompression)
+{
+    // One set of 8 ways x 2 tags: sixteen zero lines fit the data
+    // budget, so the seventeenth insert drops the LRU entry for tag
+    // pressure alone, writing its compressed dirty data back.
+    AdaptiveCache::Config cfg;
+    cfg.capacityBytes = 8 * kLineSize;
+    AdaptiveCache c(cfg);
+    for (Addr a = 0; a < 16; a++)
+        c.insert(a << kLineShift, CacheLine{}, true);
+    const LlcStats before = c.stats();
+    const FillResult r = c.insert(16 << kLineShift, CacheLine{}, true);
+    ASSERT_EQ(r.writebacks.size(), 1u);
+    EXPECT_EQ(r.writebacks[0].addr, Addr{0});
+    EXPECT_EQ(r.linesDecompressed, 1u);
+    EXPECT_EQ(r.bytesDecompressed, kLineSize);
+    EXPECT_EQ(c.stats().linesDecompressed, before.linesDecompressed + 1);
+    EXPECT_EQ(c.stats().bytesDecompressed,
+              before.bytesDecompressed + kLineSize);
+}
+
 // --------------------------------------------------------------- Decoupled
+
+TEST(Decoupled, OwnBlockWritebackChargesDecompression)
+{
+    // One super-tag of 8 segments: a raw sub-line cannot join the
+    // compressed dirty sub-line 0 of its own block, and no other block
+    // is valid, so the insert evicts sub-line 0 and writes it back.
+    DecoupledCache::Config cfg;
+    cfg.capacityBytes = kLineSize;
+    cfg.ways = 1;
+    DecoupledCache c(cfg);
+    c.insert(0, compressibleLine(7), true);
+    const LlcStats before = c.stats();
+    const FillResult r = c.insert(Addr{1} << kLineShift, patternLine(3), true);
+    ASSERT_EQ(r.writebacks.size(), 1u);
+    EXPECT_EQ(r.writebacks[0].addr, Addr{0});
+    EXPECT_EQ(r.linesDecompressed, 1u);
+    EXPECT_EQ(r.bytesDecompressed, kLineSize);
+    EXPECT_EQ(c.stats().linesDecompressed, before.linesDecompressed + 1);
+    EXPECT_EQ(c.stats().bytesDecompressed,
+              before.bytesDecompressed + kLineSize);
+}
 
 TEST(Decoupled, SuperBlockSharing)
 {
