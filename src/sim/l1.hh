@@ -17,15 +17,25 @@
 namespace morc {
 namespace sim {
 
-/** A dirty line displaced from the L1. */
+/** A line displaced from the L1. */
 struct L1Victim
 {
     Addr addr;
+    /** The way's stored bytes: stale for a line dirtied by markDirty()
+     *  or fillDirty() (see L1Cache). */
     CacheLine data;
     bool dirty;
 };
 
-/** Small set-associative write-back L1. */
+/**
+ * Small set-associative write-back L1.
+ *
+ * A way holds its line's bytes while the line is clean, or when a store
+ * wrote them through update() or fill(). A store through markDirty() or
+ * fillDirty() records no bytes: the owner can produce them (sim::System
+ * synthesizes them from the line's version) and does so when the line
+ * leaves, and withDirtyBytes() fills them in for a snapshot.
+ */
 class L1Cache
 {
   public:
@@ -47,52 +57,67 @@ class L1Cache
         return false;
     }
 
+    /** Mark a resident line dirty without its bytes (store hit). */
+    void
+    markDirty(Addr addr)
+    {
+        if (Way *w = find(addr)) {
+            w->dirty = true;
+            w->lastUse = ++clock_;
+        }
+    }
+
     /** Overwrite a resident line's data and mark it dirty (store hit). */
     void
     update(Addr addr, const CacheLine &data)
     {
-        Way *w = find(addr);
-        if (w) {
+        if (Way *w = find(addr)) {
             w->data = data;
             w->dirty = true;
             w->lastUse = ++clock_;
         }
     }
 
-    /** Data of a resident line, or nullptr. */
+    /** Stored bytes of a resident clean line; nullptr when the line is
+     *  absent or dirty (its bytes may not be held). */
     const CacheLine *
     peek(Addr addr)
     {
         Way *w = find(addr);
-        return w ? &w->data : nullptr;
+        return w && !w->dirty ? &w->data : nullptr;
     }
 
     /** Allocate @p addr; returns the displaced victim if one existed. */
     std::optional<L1Victim>
     fill(Addr addr, const CacheLine &data, bool dirty)
     {
-        const std::uint64_t set = setOf(addr);
-        Way *victim = nullptr;
-        for (unsigned i = 0; i < ways_; i++) {
-            Way &w = store_[set * ways_ + i];
-            if (!w.valid) {
-                victim = &w;
-                break;
-            }
-            if (!victim || w.lastUse < victim->lastUse)
-                victim = &w;
-        }
         std::optional<L1Victim> out;
-        if (victim->valid) {
-            out = L1Victim{victim->tag << kLineShift, victim->data,
-                           victim->dirty};
-        }
-        victim->tag = lineNumber(addr);
-        victim->valid = true;
-        victim->dirty = dirty;
-        victim->data = data;
-        victim->lastUse = ++clock_;
+        Way &w = allocate(addr, dirty, out);
+        w.data = data;
         return out;
+    }
+
+    /** Allocate @p addr dirty without its bytes (store miss). */
+    std::optional<L1Victim>
+    fillDirty(Addr addr)
+    {
+        std::optional<L1Victim> out;
+        allocate(addr, true, out);
+        return out;
+    }
+
+    /** A copy whose dirty ways hold @p bytes_of(line address): the
+     *  bytes a snapshot saves for lines stored without them. */
+    template <typename BytesOf>
+    L1Cache
+    withDirtyBytes(BytesOf &&bytes_of) const
+    {
+        L1Cache copy = *this;
+        for (Way &w : copy.store_) {
+            if (w.valid && w.dirty)
+                w.data = bytes_of(w.tag << kLineShift);
+        }
+        return copy;
     }
 
     /** Geometry fingerprint plus every way's contents. */
@@ -110,6 +135,34 @@ class L1Cache
         std::uint64_t lastUse = 0;
         CacheLine data{};
     };
+
+    /** Claim the LRU (or first invalid) way of @p addr's set for it,
+     *  reporting a valid occupant in @p out. The way keeps its old
+     *  bytes until the caller writes new ones. */
+    Way &
+    allocate(Addr addr, bool dirty, std::optional<L1Victim> &out)
+    {
+        const std::uint64_t set = setOf(addr);
+        Way *victim = nullptr;
+        for (unsigned i = 0; i < ways_; i++) {
+            Way &w = store_[set * ways_ + i];
+            if (!w.valid) {
+                victim = &w;
+                break;
+            }
+            if (!victim || w.lastUse < victim->lastUse)
+                victim = &w;
+        }
+        if (victim->valid) {
+            out = L1Victim{victim->tag << kLineShift, victim->data,
+                           victim->dirty};
+        }
+        victim->tag = lineNumber(addr);
+        victim->valid = true;
+        victim->dirty = dirty;
+        victim->lastUse = ++clock_;
+        return *victim;
+    }
 
     template <typename Self, typename IO>
     static void

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <type_traits>
 #include <utility>
 
 #include "check/check.hh"
@@ -133,6 +134,15 @@ System::setupTelemetry()
 }
 
 CacheLine
+System::lineBytes(const Core &core, Addr addr)
+{
+    const Addr lnum = localLine(addr);
+    const auto it = core.versions.find(lnum);
+    return core.trace->values().line(
+        lnum, it == core.versions.end() ? 0u : it->second);
+}
+
+CacheLine
 System::dramFetch(unsigned core_idx, Addr addr) const
 {
     auto it = dram_.find(lineNumber(addr));
@@ -203,20 +213,15 @@ System::step(unsigned core_idx)
     m.cycles += cfg_.l1Latency;
     m.l1Accesses++;
 
-    const Addr lnum = localLine(ref.addr);
+    // A store only bumps the line's version: the L1 holds no bytes for
+    // a dirty line, and lineBytes() synthesizes them when it leaves.
     if (core.l1.lookup(ref.addr)) {
         if (ref.write) {
-            const std::uint32_t ver = ++core.versions[lnum];
-            core.l1.update(ref.addr,
-                           core.trace->values().line(lnum, ver));
+            ++core.versions[localLine(ref.addr)];
+            core.l1.markDirty(ref.addr);
         } else if (cfg_.checkFunctional) {
             const CacheLine *got = core.l1.peek(ref.addr);
-            const std::uint32_t ver = [&] {
-                auto it = core.versions.find(lnum);
-                return it == core.versions.end() ? 0u : it->second;
-            }();
-            if (!got ||
-                !(*got == core.trace->values().line(lnum, ver))) {
+            if (got && !(*got == lineBytes(core, ref.addr))) {
                 std::fprintf(stderr, "functional mismatch (L1)\n");
                 std::abort();
             }
@@ -263,11 +268,13 @@ System::step(unsigned core_idx)
         else
             latency +=
                 channels_[0].readAccess(m.cycles + cfg_.llcLatency);
-        data = dramFetch(core_idx, ref.addr);
         // Non-inclusive fill policy (Section 5.4.2): read misses fill
         // the LLC; write misses fill only the L1 unless the inclusive
-        // mode of the Figure 12 study is on.
+        // mode of the Figure 12 study is on. A store overwrites what a
+        // write miss fetches, so it reads memory's bytes only to fill
+        // the LLC.
         if (!ref.write || cfg_.inclusiveWriteFills) {
+            data = dramFetch(core_idx, ref.addr);
             handleWritebacks(llc_->insert(ref.addr, data, false),
                              noc_ ? m.cycles + latency : m.cycles);
         }
@@ -280,38 +287,34 @@ System::step(unsigned core_idx)
     if (rr.hit && cfg_.hitLatencyHistogram)
         cfg_.hitLatencyHistogram->record(latency);
 
-    if (cfg_.checkFunctional && !ref.write) {
-        const std::uint32_t ver = [&] {
-            auto it = core.versions.find(lnum);
-            return it == core.versions.end() ? 0u : it->second;
-        }();
-        if (!(data == core.trace->values().line(lnum, ver))) {
-            std::fprintf(stderr, "functional mismatch (LLC/DRAM)\n");
-            std::abort();
-        }
+    if (cfg_.checkFunctional && !ref.write &&
+        !(data == lineBytes(core, ref.addr))) {
+        std::fprintf(stderr, "functional mismatch (LLC/DRAM)\n");
+        std::abort();
     }
 
+    std::optional<L1Victim> victim;
     if (ref.write) {
-        const std::uint32_t ver = ++core.versions[lnum];
-        data = core.trace->values().line(lnum, ver);
+        ++core.versions[localLine(ref.addr)];
+        victim = core.l1.fillDirty(ref.addr);
+    } else {
+        victim = core.l1.fill(ref.addr, data, false);
     }
 
-    // Allocate into the L1; a displaced dirty line is written back to
-    // the (non-inclusive) LLC.
-    if (auto victim = core.l1.fill(ref.addr, data, ref.write)) {
-        if (victim->dirty) {
-            // Over the mesh the victim line is a posted transfer from
-            // the core's tile to its own home bank (which need not be
-            // the bank the miss was served from).
-            if (noc_) {
-                noc_->transfer(coreTile(core_idx),
-                               banked_->homeBank(victim->addr),
-                               kLineSize, m.cycles);
-            }
-            handleWritebacks(
-                llc_->insert(victim->addr, victim->data, true),
-                m.cycles);
+    // A displaced dirty line is written back to the (non-inclusive)
+    // LLC; its bytes are synthesized here, once.
+    if (victim && victim->dirty) {
+        // Over the mesh the victim line is a posted transfer from the
+        // core's tile to its own home bank (which need not be the bank
+        // the miss was served from).
+        if (noc_) {
+            noc_->transfer(coreTile(core_idx),
+                           banked_->homeBank(victim->addr), kLineSize,
+                           m.cycles);
         }
+        handleWritebacks(
+            llc_->insert(victim->addr, lineBytes(core, victim->addr), true),
+            m.cycles);
     }
 
     m.cycles += latency;
@@ -572,7 +575,14 @@ System::walk(Self &self, IO &io)
                                  io.u64(line);
                                  io.u32(version);
                              });
-                io.part(c.l1);
+                // A save writes every L1 way's bytes, so dirty ways get
+                // the model's bytes at their current version.
+                if constexpr (std::is_const_v<Self>) {
+                    io.part(c.l1.withDirtyBytes(
+                        [&](Addr addr) { return lineBytes(c, addr); }));
+                } else {
+                    io.part(c.l1);
+                }
                 io.part(*c.trace);
             });
         }

@@ -298,6 +298,12 @@ class System
     template <typename Self, typename IO>
     static void walk(Self &self, IO &io);
 
+    /** Bytes of @p core's line at @p addr: its value model at the
+     *  line's current version (the stores recorded for it, 0 if none).
+     *  Every copy of the line the simulation holds equals this; a dirty
+     *  L1 line's bytes are made only here. */
+    static CacheLine lineBytes(const Core &core, Addr addr);
+
     CacheLine dramFetch(unsigned core_idx, Addr addr) const;
     void dramWrite(Addr addr, const CacheLine &data);
     void handleWritebacks(const cache::FillResult &fr, Cycles now);

@@ -24,8 +24,25 @@ constexpr std::uint64_t kChunkRegionSalt = 0xc09c09;
 
 } // namespace
 
+ValueModel::Cuts::Cuts(const DataProfile &p)
+    : zeroLine(unitThreshold(p.zeroLineFrac)),
+      chunk256(unitThreshold(p.chunk256Frac)),
+      zeroHalf(unitThreshold(p.zeroHalfFrac)),
+      chunk128(unitThreshold(p.chunk128Frac)),
+      zeroWord(unitThreshold(p.zeroWordFrac)),
+      poolWord(unitThreshold(p.zeroWordFrac + p.poolWordFrac)),
+      smallWord(unitThreshold(p.zeroWordFrac + p.poolWordFrac +
+                              p.smallWordFrac)),
+      fpWord(unitThreshold(p.zeroWordFrac + p.poolWordFrac +
+                           p.smallWordFrac + p.fpWordFrac)),
+      globalPool(unitThreshold(p.globalPoolFrac)),
+      chunkSmall(unitThreshold(p.zeroWordFrac + p.smallWordFrac)),
+      storeChurn(unitThreshold(p.storeChurn))
+{}
+
 ValueModel::ValueModel(const DataProfile &profile)
     : profile_(profile),
+      cut_(profile),
       regionPool_(std::max<std::uint32_t>(profile.regionPoolSize, 1),
                   profile.poolTheta),
       globalPool_(std::max<std::uint32_t>(profile.globalPoolSize, 1), 0.9),
@@ -45,22 +62,18 @@ ValueModel::poolWord(std::uint64_t region, std::uint64_t index) const
 std::uint32_t
 ValueModel::freshWord(std::uint64_t h, std::uint64_t region) const
 {
-    const double u = unit(h);
-    double acc = profile_.zeroWordFrac;
-    if (u < acc)
+    if (unitBelow(h, cut_.zeroWord))
         return 0;
-    acc += profile_.poolWordFrac;
-    if (u < acc) {
+    if (unitBelow(h, cut_.poolWord)) {
         const std::uint64_t h2 = splitmix64(h ^ 0x9a7);
-        if (unit(h2) < profile_.globalPoolFrac) {
+        if (unitBelow(h2, cut_.globalPool)) {
             return poolWord(kSaltGlobal,
                             globalPool_.sampleHashed(splitmix64(h2)));
         }
         return poolWord(region,
                         regionPool_.sampleHashed(splitmix64(h2 + 1)));
     }
-    acc += profile_.smallWordFrac;
-    if (u < acc) {
+    if (unitBelow(h, cut_.smallWord)) {
         // Small integers: diverse (counters, sizes, coordinates) — too
         // many distinct values for a frequent-value dictionary, but
         // ideal for significance truncation (u8/u16).
@@ -69,8 +82,7 @@ ValueModel::freshWord(std::uint64_t h, std::uint64_t region) const
                    ? static_cast<std::uint32_t>(h2 >> 3) & 0xff
                    : static_cast<std::uint32_t>(h2 >> 3) & 0xffff;
     }
-    acc += profile_.fpWordFrac;
-    if (u < acc) {
+    if (unitBelow(h, cut_.fpWord)) {
         // Double-precision style: a handful of common exponents over a
         // random mantissa. Two consecutive words form one double; this
         // word-level model keeps the high-entropy property that matters.
@@ -110,10 +122,9 @@ ValueModel::chunkWords(std::uint64_t region, std::uint64_t chunk_id,
         profile_.seed ^ kSaltChunk ^ salt, mix64(region, chunk_id));
     for (unsigned i = 0; i < n; i++) {
         const std::uint64_t h = mix64(base, i);
-        const double u = unit(h);
-        if (u < profile_.zeroWordFrac) {
+        if (unitBelow(h, cut_.zeroWord)) {
             out[i] = 0;
-        } else if (u < profile_.zeroWordFrac + profile_.smallWordFrac) {
+        } else if (unitBelow(h, cut_.chunkSmall)) {
             out[i] = static_cast<std::uint32_t>(splitmix64(h) >> 1) &
                      0xffffu;
         } else {
@@ -130,7 +141,7 @@ ValueModel::line(std::uint64_t line_number, std::uint32_t version) const
     const std::uint64_t hline =
         mix64(profile_.seed ^ kSaltLine, mix64(line_number, version));
 
-    if (unit(hline) < profile_.zeroLineFrac)
+    if (unitBelow(hline, cut_.zeroLine))
         return l; // all-zero line
 
     const std::uint64_t region =
@@ -139,7 +150,7 @@ ValueModel::line(std::uint64_t line_number, std::uint32_t version) const
     std::uint32_t words[kWordsPerLine];
     for (unsigned chunk = 0; chunk < 2; chunk++) {
         const std::uint64_t hchunk = mix64(hline, chunk + 1);
-        if (unit(hchunk) < profile_.chunk256Frac) {
+        if (unitBelow(hchunk, cut_.chunk256)) {
             const std::uint64_t id =
                 chunk256Pool_.sampleHashed(splitmix64(hchunk));
             chunkWords(region, id, 8, 0x256, words + chunk * 8);
@@ -148,12 +159,12 @@ ValueModel::line(std::uint64_t line_number, std::uint32_t version) const
         for (unsigned half = 0; half < 2; half++) {
             const std::uint64_t hhalf = mix64(hchunk, half + 3);
             std::uint32_t *out = words + chunk * 8 + half * 4;
-            if (unit(splitmix64(hhalf ^ 0x2e20)) < profile_.zeroHalfFrac) {
+            if (unitBelow(splitmix64(hhalf ^ 0x2e20), cut_.zeroHalf)) {
                 for (unsigned w = 0; w < 4; w++)
                     out[w] = 0;
                 continue;
             }
-            if (unit(hhalf) < profile_.chunk128Frac) {
+            if (unitBelow(hhalf, cut_.chunk128)) {
                 const std::uint64_t id =
                     chunk128Pool_.sampleHashed(splitmix64(hhalf));
                 chunkWords(region, id, 4, 0x128, out);
@@ -170,7 +181,7 @@ ValueModel::line(std::uint64_t line_number, std::uint32_t version) const
         const CacheLine base = line(line_number, 0);
         for (unsigned i = 0; i < kWordsPerLine; i++) {
             const std::uint64_t hw = mix64(hline, 0xc4u + i);
-            if (unit(hw) >= profile_.storeChurn)
+            if (!unitBelow(hw, cut_.storeChurn))
                 words[i] = base.word32(i);
         }
     }
@@ -193,6 +204,13 @@ constexpr std::uint64_t kSaltKvLine = 0x6b76117e;
 constexpr std::uint64_t kSaltKvToken = 0x6b76706b;
 constexpr std::uint64_t kSaltKvChurn = 0x6b76c402;
 
+/** jsonWord()'s cumulative bands and CounterDense's word density, as
+ *  unitThreshold()s. */
+const std::uint64_t kJsonPadding = unitThreshold(0.15);
+const std::uint64_t kJsonToken = unitThreshold(0.70);
+const std::uint64_t kJsonSmall = unitThreshold(0.90);
+const std::uint64_t kCounterWord = unitThreshold(0.25);
+
 } // namespace
 
 const char *
@@ -213,15 +231,25 @@ KvValueModel::KvValueModel(const KvProfile &profile)
     : profile_(profile),
       tokenPool_(std::max<std::uint32_t>(profile.tokenPoolSize, 1),
                  profile.tokenTheta)
-{}
+{
+    deriveCuts();
+}
+
+void
+KvValueModel::deriveCuts()
+{
+    jsonCut_ = unitThreshold(profile_.jsonFrac);
+    counterCut_ = unitThreshold(profile_.jsonFrac + profile_.counterFrac);
+    setChurnCut_ = unitThreshold(profile_.setChurn);
+}
 
 ValueClass
 KvValueModel::classOf(std::uint64_t key) const
 {
-    const double u = unit(mix64(profile_.seed ^ kSaltKvClass, key));
-    if (u < profile_.jsonFrac)
+    const std::uint64_t h = mix64(profile_.seed ^ kSaltKvClass, key);
+    if (unitBelow(h, jsonCut_))
         return ValueClass::JsonLike;
-    if (u < profile_.jsonFrac + profile_.counterFrac)
+    if (unitBelow(h, counterCut_))
         return ValueClass::CounterDense;
     return ValueClass::Blob;
 }
@@ -274,12 +302,11 @@ KvValueModel::tokenWord(std::uint64_t index) const
 std::uint32_t
 KvValueModel::jsonWord(std::uint64_t h) const
 {
-    const double u = unit(h);
-    if (u < 0.15)
+    if (unitBelow(h, kJsonPadding))
         return 0; // padding / null fields
-    if (u < 0.70)
+    if (unitBelow(h, kJsonToken))
         return tokenWord(tokenPool_.sampleHashed(splitmix64(h)));
-    if (u < 0.90) {
+    if (unitBelow(h, kJsonSmall)) {
         // Small scalar fields (counts, timestamps deltas, enum tags).
         const std::uint64_t h2 = splitmix64(h);
         return (h2 & 7) < 3
@@ -309,7 +336,7 @@ KvValueModel::line(std::uint64_t key, std::uint32_t line_idx,
             const std::uint64_t hv =
                 mix64(hline ^ kSaltKvChurn, version);
             for (unsigned w = 0; w < kWordsPerLine; w++) {
-                if (unit(mix64(hv, w)) < profile_.setChurn)
+                if (unitBelow(mix64(hv, w), setChurnCut_))
                     words[w] = jsonWord(mix64(hv, 0x50 + w));
             }
         }
@@ -322,7 +349,7 @@ KvValueModel::line(std::uint64_t key, std::uint32_t line_idx,
         // track the version so every SET perturbs the line.
         for (unsigned w = 0; w < kWordsPerLine; w++) {
             const std::uint64_t h = mix64(hline, 0x90 + w);
-            if (unit(h) < 0.25) {
+            if (unitBelow(h, kCounterWord)) {
                 l.setWord32(w, (static_cast<std::uint32_t>(h >> 40) +
                                 version) &
                                    0xffffu);
@@ -356,6 +383,11 @@ KvValueModel::walk(Self &self, IO &io)
     io.u32(p.counterLines);
     io.u32(p.blobLines);
     io.u32(p.tokenPoolSize);
+    io.check(p.tokenPoolSize <= kMaxTokenPoolSize,
+             "KV token pool too large");
+    io.check(std::max({p.jsonLines, p.counterLines, p.blobLines}) <=
+                 kMaxValueLines,
+             "KV value line count too large");
     io.f64(p.tokenTheta);
     io.f64(p.setChurn);
     io.sortedMap(self.versions_, 8 + 4, [&](auto &key, auto &version) {
@@ -379,6 +411,7 @@ KvValueModel::restore(snap::Deserializer &d)
     tokenPool_ = ZipfSampler(
         std::max<std::uint32_t>(profile_.tokenPoolSize, 1),
         profile_.tokenTheta);
+    deriveCuts();
 }
 
 } // namespace trace

@@ -113,15 +113,22 @@ class ValueModel
     const DataProfile &profile() const { return profile_; }
 
   private:
-    template <typename Self, typename IO>
-    static void walk(Self &self, IO &io);
-
-    /** Map a hash to [0,1). */
-    static double
-    unit(std::uint64_t h)
+    /** Cuts: the unitThreshold() of every probability a draw is
+     *  tested against. Cumulative bands are summed in the order the
+     *  draws test them, so each integer test gives the answer of the
+     *  double test `(h >> 11) * 2^-53 < band`. */
+    struct Cuts
     {
-        return (h >> 11) * (1.0 / 9007199254740992.0);
-    }
+        explicit Cuts(const DataProfile &p);
+
+        std::uint64_t zeroLine, chunk256, zeroHalf, chunk128;
+        /** freshWord()'s bands: zero, then pool, small and FP words. */
+        std::uint64_t zeroWord, poolWord, smallWord, fpWord;
+        std::uint64_t globalPool;
+        /** chunkWords()'s small-integer band, above its zero band. */
+        std::uint64_t chunkSmall;
+        std::uint64_t storeChurn;
+    };
 
     /** A pool word's value: pure function of (region, index). */
     std::uint32_t poolWord(std::uint64_t region, std::uint64_t index) const;
@@ -135,6 +142,7 @@ class ValueModel
     std::uint32_t freshWord(std::uint64_t h, std::uint64_t region) const;
 
     DataProfile profile_;
+    Cuts cut_;
     ZipfSampler regionPool_;
     ZipfSampler globalPool_;
     ZipfSampler chunk256Pool_;
@@ -237,16 +245,18 @@ class KvValueModel
     /** Restore knobs and version state written by save(). */
     void restore(snap::Deserializer &d);
 
+    /** Largest tokenPoolSize and per-class line count a restore
+     *  adopts: a hostile snapshot must not size the token table or
+     *  every request's line loop. */
+    static constexpr std::uint32_t kMaxTokenPoolSize = 65536;
+    static constexpr std::uint32_t kMaxValueLines = 64;
+
   private:
     template <typename Self, typename IO>
     static void walk(Self &self, IO &io);
 
-    /** Map a hash to [0,1). */
-    static double
-    unit(std::uint64_t h)
-    {
-        return (h >> 11) * (1.0 / 9007199254740992.0);
-    }
+    /** Recompute the cuts below from profile_. */
+    void deriveCuts();
 
     /** Token @p index of the corpus-wide JSON vocabulary. */
     std::uint32_t tokenWord(std::uint64_t index) const;
@@ -259,6 +269,11 @@ class KvValueModel
      *  morc-analyze: allow(snapshot-completeness) derived from the
      *  saved profile knobs, reconstructed on restore */
     ZipfSampler tokenPool_;
+
+    /** Cuts (unitThreshold()s) of classOf()'s bands and of setChurn.
+     *  morc-analyze: allow(snapshot-completeness) derived from the
+     *  saved profile knobs, reconstructed on restore */
+    std::uint64_t jsonCut_, counterCut_, setChurnCut_;
 
     /** Per-key SET count; only mutated keys appear. */
     std::unordered_map<std::uint64_t, std::uint32_t> versions_;

@@ -32,6 +32,32 @@ mix64(std::uint64_t a, std::uint64_t b)
 }
 
 /**
+ * Integer form of a unit-interval draw's threshold test. A hash @p h
+ * maps to the unit draw u = (h >> 11) * 2^-53, which is exact in
+ * binary64, so `u < f` holds exactly when `(h >> 11) < unitThreshold(f)`:
+ * ceil(f * 2^53) for f in (0, 1), 0 (never) for f <= 0 or NaN, and
+ * 2^53 (always) for f >= 1.
+ */
+inline std::uint64_t
+unitThreshold(double f)
+{
+    if (!(f > 0.0))
+        return 0;
+    if (f >= 1.0)
+        return 1ull << 53;
+    return static_cast<std::uint64_t>(
+        __builtin_ceil(f * 9007199254740992.0));
+}
+
+/** True when the unit draw of @p h is below the probability whose
+ *  unitThreshold() is @p threshold. */
+constexpr bool
+unitBelow(std::uint64_t h, std::uint64_t threshold)
+{
+    return (h >> 11) < threshold;
+}
+
+/**
  * xoshiro256** generator. Small, fast, and fully deterministic from its
  * 64-bit seed (expanded through SplitMix64 per the reference
  * implementation's recommendation).
@@ -77,7 +103,8 @@ class Rng
             (static_cast<unsigned __int128>(next()) * bound) >> 64);
     }
 
-    /** Uniform double in [0, 1). */
+    /** Uniform double in [0, 1): the unit draw of next() (see
+     *  unitThreshold()). */
     double
     uniform()
     {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "stats/histogram.hh"
 #include "stats/summary.hh"
 #include "util/bitstream.hh"
@@ -89,6 +92,41 @@ TEST(Rng, GeometricMeanMatchesExpectation)
         sum += static_cast<double>(rng.geometric(p));
     // Mean of failures-before-success is (1-p)/p = 3.
     EXPECT_NEAR(sum / n, 3.0, 0.1);
+}
+
+TEST(Rng, UnitThresholdMatchesDoubleTest)
+{
+    // unitBelow(h, unitThreshold(f)) must answer (h >> 11) * 2^-53 < f
+    // for every draw; the answer can only change at the edge T, so the
+    // draws around it and at both ends of the range cover every case.
+    const double fs[] = {0.0,
+                         5e-324,
+                         0.05,
+                         0.25,
+                         1.0 / 3.0,
+                         0.7,
+                         std::nextafter(1.0, 0.0),
+                         1.0,
+                         1.5,
+                         -0.1,
+                         std::nan(""),
+                         std::numeric_limits<double>::infinity()};
+    const std::uint64_t top = (1ull << 53) - 1;
+    for (const double f : fs) {
+        const std::uint64_t t = unitThreshold(f);
+        EXPECT_LE(t, top + 1) << f;
+        for (const std::uint64_t x :
+             {std::uint64_t{0}, t - 1, t, t + 1, top}) {
+            if (x > top)
+                continue;
+            for (const std::uint64_t low : {0ull, 0x7ffull}) {
+                const std::uint64_t h = x << 11 | low;
+                const double u = (h >> 11) * (1.0 / 9007199254740992.0);
+                EXPECT_EQ(unitBelow(h, t), u < f)
+                    << "f=" << f << " x=" << x;
+            }
+        }
+    }
 }
 
 TEST(Zipf, SkewFavorsLowIndices)

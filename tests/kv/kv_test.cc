@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <vector>
@@ -236,6 +237,78 @@ TEST(KvValueModel, VersionsBumpAndSnapshotRoundTrips)
             ASSERT_TRUE(vm.line(k, i, vm.version(k)) ==
                         twin.line(k, i, twin.version(k)))
                 << "key " << k << " line " << i;
+}
+
+/** A KvValueModel snapshot written by hand in the real layout: the
+ *  default knobs with @p tweak applied, and no SET keys. */
+template <typename Tweak>
+std::vector<std::uint8_t>
+kvModelFrame(Tweak &&tweak)
+{
+    trace::KvProfile p;
+    tweak(p);
+    snap::Serializer s;
+    s.u64(p.seed);
+    s.f64(p.jsonFrac);
+    s.f64(p.counterFrac);
+    s.u32(p.jsonLines);
+    s.u32(p.counterLines);
+    s.u32(p.blobLines);
+    s.u32(p.tokenPoolSize);
+    s.f64(p.tokenTheta);
+    s.f64(p.setChurn);
+    s.u64(0); // version map entries
+    return s.frame();
+}
+
+bool
+kvModelRestores(const std::vector<std::uint8_t> &frame)
+{
+    trace::KvValueModel vm{trace::KvProfile{}};
+    snap::Deserializer d(frame);
+    vm.restore(d);
+    return d.ok();
+}
+
+TEST(KvValueModel, RestoreRejectsOversizedKnobs)
+{
+    // The untouched frame is byte for byte a fresh model's save, and the
+    // largest knobs a restore adopts still restore.
+    snap::Serializer fresh;
+    trace::KvValueModel{trace::KvProfile{}}.save(fresh);
+    EXPECT_EQ(kvModelFrame([](trace::KvProfile &) {}), fresh.frame());
+    EXPECT_TRUE(kvModelRestores(kvModelFrame([](trace::KvProfile &p) {
+        p.tokenPoolSize = 65536;
+        p.jsonLines = p.counterLines = p.blobLines = 64;
+    })));
+    // One past either limit is refused before the token table is built
+    // or a request walks the value's lines.
+    EXPECT_FALSE(kvModelRestores(kvModelFrame(
+        [](trace::KvProfile &p) { p.tokenPoolSize = 65537; })));
+    EXPECT_FALSE(kvModelRestores(
+        kvModelFrame([](trace::KvProfile &p) { p.jsonLines = 65; })));
+    EXPECT_FALSE(kvModelRestores(
+        kvModelFrame([](trace::KvProfile &p) { p.counterLines = 65; })));
+    EXPECT_FALSE(kvModelRestores(
+        kvModelFrame([](trace::KvProfile &p) { p.blobLines = 65; })));
+}
+
+TEST(KvValueModel, RestoredThetaThatOverflowsTheWeightsStillDraws)
+{
+    // A theta is adopted as restored; one that overflows the token
+    // pool's weights leaves NaN in its CDF, which must still draw
+    // in-range tokens.
+    for (const double theta : {std::nan(""), -2000.0}) {
+        trace::KvValueModel vm{trace::KvProfile{}};
+        snap::Deserializer d(kvModelFrame(
+            [&](trace::KvProfile &p) { p.tokenTheta = theta; }));
+        vm.restore(d);
+        ASSERT_TRUE(d.ok()) << d.error();
+        const std::uint64_t k =
+            keyOfClass(vm, trace::ValueClass::JsonLike);
+        for (std::uint32_t v = 0; v < 64; v++)
+            EXPECT_TRUE(vm.line(k, 0, v) == vm.line(k, 0, v));
+    }
 }
 
 // ------------------------------------------------------------------

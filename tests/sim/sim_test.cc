@@ -72,6 +72,35 @@ TEST(L1, UpdateMarksDirty)
     EXPECT_TRUE(seen);
 }
 
+TEST(L1, DirtyBytesComeFromTheOwner)
+{
+    L1Cache l1(256, 1); // 4 sets, direct-mapped
+    CacheLine clean;
+    clean.setWord32(0, 5);
+    l1.fill(0x00, clean, false);
+    l1.markDirty(0x00); // store hit
+    EXPECT_FALSE(l1.fillDirty(0x40)); // store miss into an empty set
+    l1.fill(0x80, clean, false);
+    EXPECT_EQ(l1.peek(0x00), nullptr); // a dirty line's bytes are not held
+    EXPECT_EQ(l1.peek(0x80)->word32(0), 5u);
+
+    // A snapshot copy holds the owner's bytes in its dirty ways only.
+    L1Cache copy = l1.withDirtyBytes([](Addr addr) {
+        CacheLine l;
+        l.setWord32(0, static_cast<std::uint32_t>(addr) + 1);
+        return l;
+    });
+    const std::pair<Addr, std::uint32_t> expect[] = {
+        {0x00, 0x01}, {0x40, 0x41}, {0x80, 5}};
+    for (const auto &[addr, word] : expect) {
+        const auto v = copy.fill(addr + 0x100, clean, false);
+        ASSERT_TRUE(v);
+        EXPECT_EQ(v->addr, addr);
+        EXPECT_EQ(v->dirty, addr != 0x80);
+        EXPECT_EQ(v->data.word32(0), word);
+    }
+}
+
 // ---------------------------------------------------------------- Channel
 
 TEST(Channel, UncontendedLatency)

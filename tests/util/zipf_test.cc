@@ -14,7 +14,9 @@
  *
  * A negative control (uniform draws tested against a skewed pmf must
  * FAIL the fit) proves the test has the power to reject, and the
- * hashed variant is additionally pinned as a pure function.
+ * hashed variant is additionally pinned as a pure function. The
+ * integer search is pinned draw for draw to the double-table search it
+ * replaced, at every edge of its table.
  */
 
 #include <gtest/gtest.h>
@@ -196,6 +198,91 @@ TEST(Zipf, HashedVariantIsPure)
             tail++;
     }
     EXPECT_GT(head, 10 * (tail + 1));
+}
+
+/** The double-table sampler the integer table replaced: normalized
+ *  running sums, binary-searched with the unit draw of a hash. */
+struct ReferenceZipf
+{
+    std::vector<double> cdf;
+
+    ReferenceZipf(std::uint64_t n, double theta)
+    {
+        double sum = 0.0;
+        for (std::uint64_t i = 0; i < n; i++) {
+            sum += 1.0 / std::pow(static_cast<double>(i + 1), theta);
+            cdf.push_back(sum);
+        }
+        for (auto &c : cdf)
+            c /= sum;
+    }
+
+    std::uint64_t
+    draw(double u) const
+    {
+        std::uint64_t lo = 0, hi = cdf.size() - 1;
+        while (lo < hi) {
+            const std::uint64_t mid = (lo + hi) / 2;
+            if (cdf[mid] < u)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        return lo;
+    }
+
+    std::uint64_t
+    hashed(std::uint64_t h) const
+    {
+        return draw((h >> 11) * (1.0 / 9007199254740992.0));
+    }
+};
+
+TEST(ZipfSampler, IntegerSearchMatchesDoubleReference)
+{
+    struct Shape
+    {
+        std::uint64_t n;
+        double theta;
+    };
+    // The last two overflow the weights (a restored snapshot's theta
+    // is outside data): NaN entries must draw as the doubles did.
+    const Shape shapes[] = {{1, 0.0},      {2, 0.0},        {48, 0.9},
+                            {64, 0.8},     {96, 1.1},       {128, 0.8},
+                            {262144, 0.6}, {262144, 1.2},   {16, -2000.0},
+                            {4, std::nan("")}};
+    for (const Shape &c : shapes) {
+        SCOPED_TRACE(testing::Message() << "n=" << c.n << " theta=" << c.theta);
+        const ZipfSampler z(c.n, c.theta);
+        const ReferenceZipf ref(c.n, c.theta);
+        // Every edge of the table: the draw just below, on and just
+        // above floor(cdf[i] * 2^53), the integer the search compares.
+        const std::uint64_t stride = c.n > 4096 ? 64 : 1;
+        for (std::uint64_t i = 0; i < c.n; i += stride) {
+            if (!(ref.cdf[i] >= 0.0 && ref.cdf[i] <= 1.0))
+                continue;
+            const auto edge = static_cast<std::uint64_t>(
+                std::floor(std::ldexp(ref.cdf[i], 53)));
+            for (std::uint64_t x = edge == 0 ? 0 : edge - 1; x <= edge + 1;
+                 x++) {
+                if (x >> 53)
+                    continue;
+                const std::uint64_t h = x << 11 | (i & 0x7ff);
+                ASSERT_EQ(z.sampleHashed(h), ref.hashed(h))
+                    << "rank " << i << " draw " << x;
+            }
+        }
+        for (std::uint64_t k = 0; k < 65536; k++) {
+            const std::uint64_t h = mix64(0x21bf, k);
+            ASSERT_EQ(z.sampleHashed(h), ref.hashed(h)) << "hash " << h;
+        }
+        // sample() consumes one next() and draws what the double
+        // search drew from uniform() on the same stream.
+        Rng rng(c.n), twin = rng;
+        for (int k = 0; k < 4096; k++)
+            ASSERT_EQ(z.sample(rng), ref.draw(twin.uniform()));
+        EXPECT_EQ(rng.next(), twin.next());
+    }
 }
 
 } // namespace
