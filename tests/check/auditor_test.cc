@@ -211,8 +211,9 @@ TEST(Auditor, AuditIsSideEffectFree)
             const auto rb = plain.read(addr);
             ASSERT_EQ(ra.hit, rb.hit) << "op " << op;
             ASSERT_EQ(ra.extraLatency, rb.extraLatency) << "op " << op;
-            if (ra.hit)
+            if (ra.hit) {
                 ASSERT_EQ(ra.data, rb.data) << "op " << op;
+            }
         }
         // Only one of the twins is audited (twice, for good measure).
         if (op % 64 == 63) {

@@ -228,10 +228,12 @@ TEST(BankedLlc, RoutesToHomeBankExclusively)
 
         // Resident in the home bank, absent from every other bank.
         EXPECT_TRUE(banked->bank(home).read(addr).hit);
-        for (unsigned b = 0; b < banked->numBanks(); b++)
-            if (b != home)
+        for (unsigned b = 0; b < banked->numBanks(); b++) {
+            if (b != home) {
                 EXPECT_FALSE(banked->bank(b).read(addr).hit)
                     << "address aliased into foreign bank " << b;
+            }
+        }
     }
 }
 
