@@ -67,15 +67,15 @@ std::string g_warmDir;
  * warm-up phases — across figures or across invocations — simulate once
  * and restore thereafter.
  *
- * The restore re-validates only part of this: the snapshot's SCFG
- * section checks 26 config values and the programs, and each component
- * checks its own geometry. Nothing inside the snapshot checks the
- * warm-up budget, morc.decompressBytesPerCycle, morc.tagsPerCycle,
- * morc.parallelTagData or the two trace thresholds, so only this hash
- * separates snapshots that differ in them; a collision between two such
- * configs would restore the wrong warm state. (meshCfg.hopCycles is in
- * neither; every figure leaves it at its default.) Any other mismatch
- * is rejected and the caller falls back to a cold warm-up.
+ * The restore re-validates all of it except the warm-up budget: the
+ * snapshot's SCFG section checks 35 config values (every one hashed
+ * here outside the MORC geometry, plus the mesh's interleave and NoC
+ * timing) and the programs, the MORC override's geometry is checked by
+ * the LLC's own walk, and the histograms' bounds by theirs. Only this
+ * hash separates snapshots that differ in the warm-up budget; a
+ * collision between two such runs would restore the wrong warm state.
+ * Any other mismatch is rejected and the caller falls back to a cold
+ * warm-up. This list and SCFG's are still kept by hand.
  */
 std::string
 warmFingerprint(const sim::SystemConfig &cfg,

@@ -16,7 +16,9 @@
  * Timing is per-access: non-memory instructions cost one cycle (batched
  * via the trace's geometric gaps), L1 hits one cycle, LLC hits the base
  * latency plus the scheme's decompression annotation, and misses add the
- * channel's queueing + DRAM latency. A 4-thread coarse-grain
+ * channel's queueing + DRAM latency. Memory is timing only: it keeps no
+ * bytes, because a line that no cache holds is at its latest version,
+ * whose bytes are the value model's (lineBytes). A 4-thread coarse-grain
  * multithreading estimate (Section 4) is accumulated alongside: of each
  * memory latency, (threads-1) x the running average gap between L1
  * misses is hidden; the remainder stalls the core.
@@ -235,7 +237,7 @@ class System
     /**
      * Warm-up phase alone: simulate @p warmup_per_core instructions
      * per core, then reset every measurement counter while the
-     * architectural state (caches, DRAM image, trace cursors) stays
+     * architectural state (caches, version maps, trace cursors) stays
      * warm. The system is then checkpoint-ready: save() + restore()
      * into a fresh instance + measure() reproduces run() exactly.
      */
@@ -249,8 +251,10 @@ class System
 
     /**
      * Append the complete simulator state: config fingerprint, per-core
-     * state (results, L1, trace cursor, version map), DRAM image, LLC
-     * scheme state (flat or banked), memory channels, NoC, telemetry.
+     * state (results, L1, trace cursor, version map), LLC scheme state
+     * (flat or banked), memory channels, NoC, telemetry. Memory has no
+     * state beyond its channels' timing: its bytes are the version
+     * maps' lines.
      */
     void saveState(snap::Serializer &s) const;
 
@@ -301,11 +305,9 @@ class System
     /** Bytes of @p core's line at @p addr: its value model at the
      *  line's current version (the stores recorded for it, 0 if none).
      *  Every copy of the line the simulation holds equals this; a dirty
-     *  L1 line's bytes are made only here. */
+     *  L1 line's bytes and an LLC miss's fill are made only here. */
     static CacheLine lineBytes(const Core &core, Addr addr);
 
-    CacheLine dramFetch(unsigned core_idx, Addr addr) const;
-    void dramWrite(Addr addr, const CacheLine &data);
     void handleWritebacks(const cache::FillResult &fr, Cycles now);
     void step(unsigned core_idx);
     void runUntil(std::uint64_t instructions_per_core);
@@ -325,7 +327,6 @@ class System
     SystemConfig cfg_;
     std::unique_ptr<cache::Llc> llc_;
     std::vector<Core> cores_;
-    std::unordered_map<Addr, CacheLine> dram_;
     std::uint64_t totalInstructions_ = 0;
     stats::PeriodicSampler ratioSampler_;
     bool warmed_ = false;

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "energy/energy.hh"
 #include "sim/l1.hh"
 #include "sim/memchannel.hh"
@@ -200,6 +203,42 @@ TEST(System, FunctionalAcrossSchemes)
         const RunResult r = sys.run(300'000);
         EXPECT_GE(r.totalInstructions, 300'000u) << schemeName(s);
         EXPECT_GT(r.cores[0].ipc(), 0.0) << schemeName(s);
+    }
+}
+
+TEST(System, MemoryTrafficIsConserved)
+{
+    // Memory keeps no bytes, so its traffic counts are what pin the
+    // miss and write-back paths: every LLC miss reads memory once and
+    // every LLC victim write-back writes it once, flat and meshed.
+    const std::vector<trace::BenchmarkSpec> progs = {
+        trace::findBenchmark("gcc"), trace::findBenchmark("mcf"),
+        trace::findBenchmark("astar"), trace::findBenchmark("soplex")};
+    for (const SchemeInfo &info : allSchemes()) {
+        for (const bool mesh : {false, true}) {
+            for (const bool inclusive : {false, true}) {
+                SystemConfig cfg;
+                cfg.scheme = info.scheme;
+                cfg.numCores = 4;
+                cfg.llcBytesPerCore = 16 * 1024;
+                cfg.ratioSampleInterval = 50'000;
+                cfg.inclusiveWriteFills = inclusive;
+                cfg.useMesh = mesh;
+                cfg.meshCfg.width = 2;
+                cfg.meshCfg.height = 2;
+                System sys(cfg, progs);
+                const RunResult r = sys.run(20'000, 10'000);
+                std::uint64_t misses = 0;
+                for (const auto &c : r.cores)
+                    misses += c.llcMisses;
+                const std::string what = std::string(info.name) +
+                                         (mesh ? " mesh" : " flat") +
+                                         (inclusive ? " inclusive" : "");
+                EXPECT_EQ(r.memReads, misses) << what;
+                EXPECT_EQ(r.memWrites, r.llcStats.victimWritebacks) << what;
+                EXPECT_GT(r.memWrites, 0u) << what;
+            }
+        }
     }
 }
 

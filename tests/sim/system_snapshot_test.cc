@@ -5,13 +5,15 @@
  * after warm-up and restored into a fresh instance must continue
  * *byte-identically*: the measured-window results match and the final
  * serialized states are equal down to the last bit. Plus rejection of
- * mismatched configs, mismatched workloads, and corrupt files.
+ * mismatched configs (every config field no component checks),
+ * mismatched workloads, and corrupt files.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/system.hh"
@@ -120,53 +122,53 @@ flatConfig(Scheme s)
 TEST(SystemSnapshot, Uncompressed)
 {
     expectRoundTrip(flatConfig(Scheme::Uncompressed), 2,
-                    0x7fe2553b2780396bull);
+                    0xabe1878d4195f03aull);
 }
 
 TEST(SystemSnapshot, Adaptive)
 {
-    expectRoundTrip(flatConfig(Scheme::Adaptive), 2, 0xfc5d45d3fddb7e23ull);
+    expectRoundTrip(flatConfig(Scheme::Adaptive), 2, 0x8735426054bb961bull);
 }
 
 TEST(SystemSnapshot, Decoupled)
 {
-    expectRoundTrip(flatConfig(Scheme::Decoupled), 2, 0x0dea704a602aaa95ull);
+    expectRoundTrip(flatConfig(Scheme::Decoupled), 2, 0xcef541c5bea123a1ull);
 }
 
 TEST(SystemSnapshot, Sc2)
 {
-    expectRoundTrip(flatConfig(Scheme::Sc2), 2, 0xd83dd7615e110ac2ull);
+    expectRoundTrip(flatConfig(Scheme::Sc2), 2, 0xdefc513323b6665dull);
 }
 
 TEST(SystemSnapshot, Morc)
 {
-    expectRoundTrip(flatConfig(Scheme::Morc), 2, 0xd5c47dbbb03c885cull);
+    expectRoundTrip(flatConfig(Scheme::Morc), 2, 0x1e1403d00c99cec1ull);
 }
 
 TEST(SystemSnapshot, MorcMerged)
 {
-    expectRoundTrip(flatConfig(Scheme::MorcMerged), 2, 0x5c5d28be464305e4ull);
+    expectRoundTrip(flatConfig(Scheme::MorcMerged), 2, 0x11dcd44ca13f05a1ull);
 }
 
 TEST(SystemSnapshot, OracleInter)
 {
-    expectRoundTrip(flatConfig(Scheme::OracleInter), 2, 0xbcc50fc7aeffb151ull);
+    expectRoundTrip(flatConfig(Scheme::OracleInter), 2, 0xc98d8638dee83c08ull);
 }
 
 TEST(SystemSnapshot, Uncompressed8x)
 {
     expectRoundTrip(flatConfig(Scheme::Uncompressed8x), 2,
-                    0x8bb6ffd130520bf8ull);
+                    0xbfd035ca3f633268ull);
 }
 
 TEST(SystemSnapshot, OracleIntra)
 {
-    expectRoundTrip(flatConfig(Scheme::OracleIntra), 2, 0xb2c289b8c31aa97eull);
+    expectRoundTrip(flatConfig(Scheme::OracleIntra), 2, 0x4a87ff332ce901b1ull);
 }
 
 TEST(SystemSnapshot, Touche)
 {
-    expectRoundTrip(flatConfig(Scheme::Touche), 2, 0x77b7f461a6c105e4ull);
+    expectRoundTrip(flatConfig(Scheme::Touche), 2, 0xf59c66d7e073a71eull);
 }
 
 TEST(SystemSnapshot, BankedMesh4x4)
@@ -179,7 +181,7 @@ TEST(SystemSnapshot, BankedMesh4x4)
     cfg.useMesh = true;
     cfg.meshCfg.width = 4;
     cfg.meshCfg.height = 4;
-    expectRoundTrip(cfg, 4, 0xd325cb28e4147b81ull);
+    expectRoundTrip(cfg, 4, 0xe1202945cbb437d8ull);
 }
 
 TEST(SystemSnapshot, WithTelemetryAndTrace)
@@ -187,7 +189,7 @@ TEST(SystemSnapshot, WithTelemetryAndTrace)
     SystemConfig cfg = flatConfig(Scheme::Morc);
     cfg.telemetryEpoch = 10'000;
     cfg.traceEvents = true;
-    expectRoundTrip(cfg, 2, 0x28145a91fc4afcf4ull);
+    expectRoundTrip(cfg, 2, 0xc413d219af20ac86ull);
 }
 
 TEST(SystemSnapshot, WithAttachedHistograms)
@@ -207,7 +209,7 @@ TEST(SystemSnapshot, WithAttachedHistograms)
     System saver(cfg, programs(2));
     saver.warmup(kWarm);
     const auto frame = stateBytes(saver);
-    EXPECT_EQ(frameDigest(frame), 0x211b4b5a4aca05c5ull);
+    EXPECT_EQ(frameDigest(frame), 0xc1371401e83e350cull);
 
     decomp.clear();
     lat.clear();
@@ -303,6 +305,63 @@ TEST(SystemSnapshot, RejectsConfigMismatch)
         snap::Deserializer d(frame);
         other.restoreState(d);
         EXPECT_FALSE(d.ok());
+    }
+}
+
+TEST(SystemSnapshot, RejectsEveryConfigFieldMismatch)
+{
+    // Fields that shape a run but that no component's walk checks:
+    // only SCFG can refuse a snapshot taken under another value of any
+    // of them.
+    SystemConfig base = flatConfig(Scheme::Morc);
+    base.useMorcOverride = true;
+    base.useMesh = true;
+    base.meshCfg.width = 2;
+    base.meshCfg.height = 2;
+    System saver(base, programs(2));
+    saver.warmup(5'000);
+    const auto frame = stateBytes(saver);
+
+    const auto restores = [&](const SystemConfig &cfg, std::string *err) {
+        System other(cfg, programs(2));
+        snap::Deserializer d(frame);
+        other.restoreState(d);
+        *err = d.error();
+        return d.ok();
+    };
+    std::string err;
+    ASSERT_TRUE(restores(base, &err)) << err;
+
+    const std::vector<std::pair<const char *,
+                                void (*)(SystemConfig &)>> perturb = {
+        {"meshCfg.interleaveBytes",
+         [](SystemConfig &c) { c.meshCfg.interleaveBytes *= 2; }},
+        {"meshCfg.hopCycles",
+         [](SystemConfig &c) { c.meshCfg.hopCycles += 1; }},
+        {"meshCfg.linkBytesPerCycle",
+         [](SystemConfig &c) { c.meshCfg.linkBytesPerCycle *= 2; }},
+        {"meshCfg.headerBytes",
+         [](SystemConfig &c) { c.meshCfg.headerBytes *= 2; }},
+        {"morc.decompressBytesPerCycle",
+         [](SystemConfig &c) { c.morc.decompressBytesPerCycle /= 2; }},
+        {"morc.tagsPerCycle",
+         [](SystemConfig &c) { c.morc.tagsPerCycle /= 2; }},
+        {"morc.parallelTagData",
+         [](SystemConfig &c) {
+             c.morc.parallelTagData = !c.morc.parallelTagData;
+         }},
+        {"writebackBurstThreshold",
+         [](SystemConfig &c) { c.writebackBurstThreshold += 1; }},
+        {"nocStallThreshold",
+         [](SystemConfig &c) { c.nocStallThreshold += 1; }},
+    };
+    for (const auto &[field, change] : perturb) {
+        SystemConfig cfg = base;
+        change(cfg);
+        EXPECT_FALSE(restores(cfg, &err)) << field;
+        EXPECT_NE(err.find("system configuration mismatch"),
+                  std::string::npos)
+            << field << ": " << err;
     }
 }
 
