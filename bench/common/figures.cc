@@ -60,23 +60,8 @@ std::uint64_t g_telemetryEpoch = 0;
 bool g_traceEvents = false;
 std::string g_warmDir;
 
-/**
- * Canonical description of everything that determines a warmed-up
- * system: the effective config, the programs, and the warm-up budget.
- * Hashed (stableSeed) into the warm-snapshot filename, so identical
- * warm-up phases — across figures or across invocations — simulate once
- * and restore thereafter.
- *
- * The restore re-validates all of it except the warm-up budget: the
- * snapshot's SCFG section checks 35 config values (every one hashed
- * here outside the MORC geometry, plus the mesh's interleave and NoC
- * timing) and the programs, the MORC override's geometry is checked by
- * the LLC's own walk, and the histograms' bounds by theirs. Only this
- * hash separates snapshots that differ in the warm-up budget; a
- * collision between two such runs would restore the wrong warm state.
- * Any other mismatch is rejected and the caller falls back to a cold
- * warm-up. This list and SCFG's are still kept by hand.
- */
+} // namespace
+
 std::string
 warmFingerprint(const sim::SystemConfig &cfg,
                 const std::vector<trace::BenchmarkSpec> &programs,
@@ -130,6 +115,10 @@ warmFingerprint(const sim::SystemConfig &cfg,
         u(cfg.meshCfg.width);
         u(cfg.meshCfg.height);
         u(cfg.meshCfg.memControllers);
+        u(cfg.meshCfg.interleaveBytes);
+        u(cfg.meshCfg.hopCycles);
+        u(cfg.meshCfg.linkBytesPerCycle);
+        u(cfg.meshCfg.headerBytes);
     }
     u(cfg.telemetryEpoch);
     u(cfg.telemetryMaxSamples);
@@ -152,6 +141,8 @@ warmFingerprint(const sim::SystemConfig &cfg,
     u(warmup);
     return f;
 }
+
+namespace {
 
 /** One mutex per warm fingerprint, so concurrent tasks that share a
  *  warm-up phase simulate it exactly once; everyone else restores. The

@@ -7,6 +7,7 @@
 #define MORC_UTIL_TYPES_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 
@@ -114,14 +115,11 @@ isPow2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** Floor of log2 for a non-zero value. */
+/** Floor of log2 for a non-zero value; 0 for 0. */
 constexpr unsigned
 floorLog2(std::uint64_t v)
 {
-    unsigned l = 0;
-    while (v >>= 1)
-        l++;
-    return l;
+    return static_cast<unsigned>(std::bit_width(v | 1)) - 1;
 }
 
 /** Ceiling of log2; number of bits needed to index @p v distinct items. */

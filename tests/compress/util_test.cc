@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "stats/histogram.hh"
 #include "stats/summary.hh"
@@ -159,6 +160,27 @@ TEST(Types, LineHelpers)
     EXPECT_EQ(ceilLog2(64), 6u);
     EXPECT_EQ(ceilLog2(65), 7u);
     EXPECT_EQ(ceilLog2(1), 0u);
+}
+
+TEST(Types, FloorLog2MatchesShiftLoop)
+{
+    // The shift loop floorLog2 once was, 0 included.
+    const auto loop = [](std::uint64_t v) {
+        unsigned l = 0;
+        while (v >>= 1)
+            l++;
+        return l;
+    };
+    std::vector<std::uint64_t> values = {0, 1};
+    for (unsigned k = 1; k < 64; k++) {
+        const std::uint64_t p = std::uint64_t{1} << k;
+        values.insert(values.end(), {p - 1, p, p + 1});
+    }
+    values.push_back(~std::uint64_t{0});
+    for (const std::uint64_t v : values)
+        EXPECT_EQ(floorLog2(v), loop(v)) << v;
+    static_assert(floorLog2(0) == 0 && floorLog2(1) == 0 &&
+                  floorLog2(~std::uint64_t{0}) == 63);
 }
 
 TEST(Types, CacheLineAccessors)

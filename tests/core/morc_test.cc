@@ -359,6 +359,48 @@ TEST(Morc, MoreActiveLogsHelpMixedStreams)
     EXPECT_GE(run(8), run(1) * 0.95); // never materially worse
 }
 
+TEST(Morc, TrialFloorUsesTheConfiguredPointerWidths)
+{
+    // With one-node 128/256-bit tables an m256 costs 6 bits (default
+    // widths: 11), so a line repeating one committed chunk takes 12 data
+    // bits. A floor built from the default widths (22 bits) would turn
+    // such a line away from a log with 12 to 21 bits left and rotate
+    // early. One active log and no tag budget leave data bits as the
+    // only test, so a shadow encoder predicts every append exactly.
+    MorcConfig cfg;
+    cfg.activeLogs = 1;
+    cfg.unlimitedMeta = true;
+    cfg.lbe.nodes128 = 1;
+    cfg.lbe.nodes256 = 1;
+    LogCache c(cfg);
+    comp::LbeEncoder shadow(cfg.lbe);
+    const std::uint64_t log_bits = std::uint64_t{cfg.logBytes} * 8;
+    // Four distinct words tiled: both halves of both chunks are one
+    // 128-bit node, so the one-node tables hold the whole chunk.
+    CacheLine l;
+    for (unsigned i = 0; i < kWordsPerLine; i++)
+        l.setWord32(i, 0x51ed0000u + i % 4);
+    const comp::LbeLinePlan plan = comp::LbeLinePlan::of(l);
+    std::uint64_t used = 0, total = 0, logs = 1, tight_fits = 0;
+    for (Addr a = 0; a < 1200; a++) {
+        const std::uint64_t exact = shadow.measure(plan);
+        if (used > 0 && exact > log_bits - used) {
+            shadow.reset();
+            used = 0;
+            logs++;
+        } else if (used > 0 && log_bits - used < 22) {
+            tight_fits++;
+        }
+        const std::uint64_t bits = shadow.append(plan);
+        used += bits;
+        total += bits;
+        c.insert(a << kLineShift, l, false);
+        ASSERT_EQ(c.snapshot().dataBits, total) << "line " << a;
+    }
+    EXPECT_GE(logs, 3u);
+    EXPECT_GE(tight_fits, 2u); // lines a default-width floor would refuse
+}
+
 TEST(Morc, LbeStatsAggregate)
 {
     LogCache c;
