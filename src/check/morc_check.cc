@@ -69,7 +69,9 @@
  * same --audit-every cadence, and --kv --snapshot forks the *whole
  * service* (generator RNGs, front cache, both tiers, histograms,
  * telemetry) mid-stream with the same restore / tamper-reject /
- * lockstep-to-identical-final-bytes discipline.
+ * lockstep-to-identical-final-bytes discipline. A --kv run whose
+ * tiers never demoted, hit in SSD or dropped from SSD fails: it would
+ * pass without testing the placement paths.
  *
  * Exit codes: 0 = clean, 1 = divergence / audit failure / undetected
  * injected fault, 2 = usage error.
@@ -827,7 +829,9 @@ kvSchemeOf(const std::string &name, sim::Scheme *out)
 
 /** A deliberately tight service: small front and tiers over small,
  *  set-heavy tenant key spaces, so every layer churns (evictions,
- *  demotions, SSD drops, version churn) within a few thousand ops. */
+ *  demotions, SSD hits and drops, version churn) within a few thousand
+ *  ops. runKvScheme() fails a run whose tiers never demoted, hit in
+ *  SSD or dropped from it. */
 kv::ServiceConfig
 kvConfig(sim::Scheme scheme, const Options &opt)
 {
@@ -835,7 +839,7 @@ kvConfig(sim::Scheme scheme, const Options &opt)
     cfg.scheme = scheme;
     cfg.frontBytes = 128 << 10;
     cfg.tier.dramBytes = 512 << 10;
-    cfg.tier.ssdBytes = 2 << 20;
+    cfg.tier.ssdBytes = 128 << 10;
     cfg.seed = opt.seed;
     cfg.values.seed = mix64(opt.seed, 0x6b76);
     cfg.values.setChurn = 0.5;
@@ -1019,17 +1023,25 @@ runKvScheme(const std::string &scheme, const Options &opt)
                           "from the primary's");
     }
 
+    const kv::TierStats &ts = svc.tiers().stats();
+    if (ok && (ts.demotions == 0 || ts.ssdHits == 0 || ts.ssdDrops == 0)) {
+        std::fprintf(stderr,
+                     "morc_check: VACUOUS scheme=%s: the tiers saw %" PRIu64
+                     " demotions, %" PRIu64 " SSD hits and %" PRIu64
+                     " SSD drops; the run must exercise all three\n",
+                     label.c_str(), ts.demotions, ts.ssdHits, ts.ssdDrops);
+        ok = false;
+    }
     if (ok) {
-        const kv::TierStats &ts = svc.tiers().stats();
         std::printf("%-13s ops=%" PRIu64 " gets=%" PRIu64
                     " sets=%" PRIu64 " cycles=%" PRIu64
                     " dramHits=%" PRIu64 " ssdHits=%" PRIu64
                     " origin=%" PRIu64 " promo=%" PRIu64
-                    " demo=%" PRIu64 " audits=%" PRIu64
+                    " demo=%" PRIu64 " drops=%" PRIu64 " audits=%" PRIu64
                     " checks=%" PRIu64 " OK\n",
                     label.c_str(), opt.ops, gets, sets, svc.cycles(),
                     ts.dramHits, ts.ssdHits, ts.originFetches,
-                    ts.promotions, ts.demotions, st.audits,
+                    ts.promotions, ts.demotions, ts.ssdDrops, st.audits,
                     st.auditChecks);
     }
     return ok;
@@ -1070,6 +1082,8 @@ usage(const char *argv0)
         "DRAM/SSD tiered store, and every reply's content digest is\n"
         "checked against an independent version ledger + value model.\n"
         "Composes with --snapshot (mid-run fork of the whole service).\n"
+        "A --kv run fails unless its tiers demote, hit in SSD and drop\n"
+        "from SSD.\n"
         "\n"
         "schemes: all",
         argv0);

@@ -603,6 +603,7 @@ LbeDecoder::LbeDecoder(const LbeConfig &cfg) : cfg_(cfg) {}
 void
 LbeDecoder::reset()
 {
+    ok_ = true;
     values32_.clear();
     map32_.clear();
     for (int l = 0; l < 3; l++) {
@@ -643,6 +644,8 @@ CacheLine
 LbeDecoder::decodeLine(BitReader &in)
 {
     CacheLine line;
+    if (!ok_)
+        return line;
 
     const auto nodeKey = [](std::uint32_t l, std::uint32_t r) {
         return (static_cast<std::uint64_t>(l) << 32) | r;
@@ -700,6 +703,10 @@ LbeDecoder::decodeLine(BitReader &in)
                 } else { // m32
                     const auto idx = static_cast<std::uint32_t>(
                         in.get(cfg_.ptrBits32()));
+                    if (idx > values32_.size()) {
+                        ok_ = false;
+                        return CacheLine{};
+                    }
                     w[pos] = value32(idx);
                     descended64[pos / 2] = true;
                     descended128[pos / 4] = true;
@@ -743,6 +750,10 @@ LbeDecoder::decodeLine(BitReader &in)
                 if (in.get(1) == 0) { // m64 (1100)
                     const auto idx = static_cast<std::uint32_t>(
                         in.get(cfg_.ptrBits64()));
+                    if (idx > nodes_[0].size()) {
+                        ok_ = false;
+                        return CacheLine{};
+                    }
                     gather(0, idx, w + pos);
                     idx64[pos / 2] = idx;
                     descended128[pos / 4] = true;
@@ -757,6 +768,10 @@ LbeDecoder::decodeLine(BitReader &in)
                 if (in.get(1) == 0) { // m128 (11100)
                     const auto idx = static_cast<std::uint32_t>(
                         in.get(cfg_.ptrBits128()));
+                    if (idx > nodes_[1].size()) {
+                        ok_ = false;
+                        return CacheLine{};
+                    }
                     gather(1, idx, w + pos);
                     idx128[pos / 4] = idx;
                     pos += 4;
@@ -770,6 +785,10 @@ LbeDecoder::decodeLine(BitReader &in)
                 if (in.get(1) == 0) { // m256 (11110)
                     const auto idx = static_cast<std::uint32_t>(
                         in.get(cfg_.ptrBits256()));
+                    if (idx > nodes_[2].size()) {
+                        ok_ = false;
+                        return CacheLine{};
+                    }
                     gather(2, idx, w);
                 } else { // z256 (11111)
                     for (unsigned i = 0; i < 8; i++)

@@ -415,6 +415,11 @@ class LbeEncoder
  * Streaming LBE decoder, mirroring the encoder's dictionary evolution.
  * Exists to prove the format is decodable; the cache model itself only
  * needs compressed sizes.
+ *
+ * A stream the encoder did not write may point past a dictionary
+ * table. The decoder fails softly: the first such pointer latches
+ * !ok(), and that line and every later one decode as zeros without
+ * reading the stream, until reset().
  */
 class LbeDecoder
 {
@@ -424,7 +429,11 @@ class LbeDecoder
     /** Decode the next line from @p in. */
     CacheLine decodeLine(BitReader &in);
 
+    /** Forget the dictionary and any failure. */
     void reset();
+
+    /** False once a pointer read past its table. */
+    bool ok() const { return ok_; }
 
   private:
     std::uint32_t value32(std::uint32_t idx) const;
@@ -436,6 +445,7 @@ class LbeDecoder
     /** Node children packed as left<<32|right; index 0 is the zero entry. */
     std::vector<std::uint64_t> nodes_[3]; // 64, 128, 256-bit levels
     std::unordered_map<std::uint64_t, std::uint32_t> nodeMap_[3];
+    bool ok_ = true;
 };
 
 } // namespace comp

@@ -27,8 +27,8 @@
 #define MORC_KV_TIER_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "check/auditor.hh"
 #include "snapshot/snapshot.hh"
@@ -104,8 +104,8 @@ class TieredStore : public check::Auditable, public snap::Snapshottable
     const TierStats &stats() const { return stats_; }
     const TierConfig &config() const { return cfg_; }
 
-    std::uint64_t dramLines() const { return dram_.lines.size(); }
-    std::uint64_t ssdLines() const { return ssd_.lines.size(); }
+    std::uint64_t dramLines() const { return dram_.lines; }
+    std::uint64_t ssdLines() const { return ssd_.lines; }
     std::uint64_t dramUsedBytes() const { return dram_.usedBytes; }
     std::uint64_t ssdUsedBytes() const { return ssd_.usedBytes; }
 
@@ -119,29 +119,80 @@ class TieredStore : public check::Auditable, public snap::Snapshottable
     void restoreState(snap::Deserializer &d) override;
 
   private:
+    static constexpr std::uint32_t kNil = ~std::uint32_t(0);
+
+    /** A resident line: a slab entry linked into its tier's LRU list. */
     struct Entry
     {
-        std::uint32_t bytes = 0;
-        std::uint64_t use = 0; // global LRU stamp, unique per touch
+        Addr addr = 0;
+        std::uint64_t use = 0;     // global LRU stamp, unique per touch
+        std::uint32_t bytes = 0;   // stored size, [1, 64]
+        std::uint32_t prev = kNil; // next older line
+        std::uint32_t next = kNil; // next newer line (or free-list link)
     };
 
-    /** One tier: ordered line map plus an LRU index keyed by stamp.
-     *  std::map keeps every walk (audit, snapshot) deterministic. */
+    /** Index bucket: a resident line's address and slab slot. */
+    struct Bucket
+    {
+        Addr addr = 0;
+        std::uint32_t slot = kNil; // kNil: empty
+    };
+
+    /**
+     * One tier: a slab of entries, an intrusive doubly linked LRU list
+     * through them (head = oldest) and an open-addressed index from
+     * line address to slab slot (linear probing, backward-shift
+     * deletion). The LRU is exact, not approximate: every stamp comes
+     * from the store's one clock, and every insert and touch takes a
+     * fresh stamp and moves its line to the tail, so the list is in
+     * stamp order and its head is the least recently used line. The
+     * tables start empty and double when full; nothing in a walk
+     * (audit, snapshot) depends on slot numbers or index layout.
+     */
     struct Tier
     {
-        std::map<Addr, Entry> lines;
-        std::map<std::uint64_t, Addr> lru;
+        std::vector<Entry> slab;
+        std::vector<Bucket> index; // power-of-two size, or empty
+        std::uint32_t freeHead = kNil; // freed slots, linked by next
+        std::uint32_t head = kNil;
+        std::uint32_t tail = kNil;
+        std::uint64_t lines = 0;
         std::uint64_t usedBytes = 0;
+
+        /** Slot of @p addr, or kNil. */
+        std::uint32_t find(Addr addr) const;
+        /** Add a line absent from the tier, as its newest. */
+        void add(Addr addr, std::uint32_t bytes, std::uint64_t use);
+        /** Drop the line in @p slot and free the slot. */
+        void remove(std::uint32_t slot);
+        /** Make the line in @p slot the newest. */
+        void moveToTail(std::uint32_t slot);
+
+      private:
+        std::size_t home(Addr addr) const;
+        void link(std::uint32_t slot);
+        void unlink(std::uint32_t slot);
+        void growIndex();
+    };
+
+    /** One line as a snapshot holds it. */
+    struct Resident
+    {
+        Addr addr = 0;
+        std::uint32_t bytes = 0;
+        std::uint64_t use = 0;
     };
 
     template <typename Self, typename IO>
     static void walk(Self &self, IO &io);
 
-    std::uint32_t storedBytes(const CacheLine &data,
-                              bool compressed) const;
-    void touch(Tier &t, Addr addr, Entry &e);
+    static std::vector<Resident> byAddress(const Tier &t);
+    void rebuild(Tier &t, std::vector<Resident> &rows,
+                 snap::Deserializer &d);
+    std::uint32_t storedBytes(const CacheLine &data) const;
+    void touch(Tier &t, std::uint32_t slot);
     void insertInto(Tier &t, std::uint64_t budget, Addr addr,
-                    Entry e, bool demote_victims_to_ssd);
+                    std::uint32_t bytes, bool demote_victims_to_ssd);
     void evictOver(Tier &t, std::uint64_t budget,
                    bool demote_victims_to_ssd);
     void auditTier(check::AuditReport &r, const Tier &t,

@@ -142,6 +142,7 @@ roundTripEpisode(std::uint64_t seed, const LbeConfig &cfg, int lines,
         const CacheLine got = dec.decodeLine(in);
         ASSERT_EQ(got, stream[i]) << "seed " << seed << " line " << i;
     }
+    EXPECT_TRUE(dec.ok()) << "seed " << seed;
     EXPECT_EQ(in.remaining(), 0u) << "seed " << seed;
 }
 
@@ -254,6 +255,7 @@ TEST(LbeProperty, PlanAppendRoundTripsThroughDecoder)
     BitReader in(out);
     for (std::size_t i = 0; i < stream.size(); i++)
         ASSERT_EQ(dec.decodeLine(in), stream[i]) << "line " << i;
+    EXPECT_TRUE(dec.ok());
     EXPECT_EQ(in.remaining(), 0u);
 }
 

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "compress/lbe.hh"
 #include "util/rng.hh"
 
@@ -158,7 +160,56 @@ TEST(Lbe, RoundTripStream)
         const CacheLine got = dec.decodeLine(in);
         ASSERT_EQ(got, lines[i]) << "line " << i;
     }
+    EXPECT_TRUE(dec.ok());
     EXPECT_EQ(in.remaining(), 0u);
+}
+
+TEST(Lbe, DecoderFailsSoftOnPointersPastTheirTables)
+{
+    // Hand-built pointer symbols (Table 3 prefix code, then the
+    // pointer) that the encoder never wrote: one past an empty table,
+    // and the widest pointer after one real line filled the tables a
+    // little.
+    const LbeConfig cfg;
+    const struct
+    {
+        const char *name;
+        std::vector<unsigned> code;
+        unsigned ptrBits;
+    } kinds[] = {
+        {"m32", {0, 1}, cfg.ptrBits32()},
+        {"m64", {1, 1, 0, 0}, cfg.ptrBits64()},
+        {"m128", {1, 1, 1, 0, 0}, cfg.ptrBits128()},
+        {"m256", {1, 1, 1, 1, 0}, cfg.ptrBits256()},
+    };
+    Rng rng(41);
+    for (const auto &k : kinds) {
+        for (const bool primed : {false, true}) {
+            LbeEncoder enc(cfg);
+            BitWriter out;
+            const CacheLine real = randomLine(rng);
+            if (primed)
+                enc.append(real, &out);
+            for (const unsigned bit : k.code)
+                out.put(bit, 1);
+            out.put(primed ? (1ull << k.ptrBits) - 1 : 1, k.ptrBits);
+            out.put(0, 64); // room for a decoder that reads on
+
+            LbeDecoder dec(cfg);
+            BitReader in(out);
+            if (primed) {
+                EXPECT_EQ(dec.decodeLine(in), real) << k.name;
+                EXPECT_TRUE(dec.ok()) << k.name;
+            }
+            EXPECT_EQ(dec.decodeLine(in), CacheLine{}) << k.name;
+            EXPECT_FALSE(dec.ok()) << k.name;
+            // The failure latches until reset.
+            EXPECT_EQ(dec.decodeLine(in), CacheLine{}) << k.name;
+            EXPECT_FALSE(dec.ok()) << k.name;
+            dec.reset();
+            EXPECT_TRUE(dec.ok()) << k.name;
+        }
+    }
 }
 
 TEST(Lbe, DictionaryFreezesAtCapacity)
@@ -194,6 +245,7 @@ TEST(Lbe, RoundTripTinyDictionary)
     BitReader in(out);
     for (std::size_t i = 0; i < lines.size(); i++)
         ASSERT_EQ(dec.decodeLine(in), lines[i]) << "line " << i;
+    EXPECT_TRUE(dec.ok());
 }
 
 /** Property sweep: round-trip holds across value-structure regimes. */
@@ -233,6 +285,7 @@ TEST_P(LbeSweep, RoundTripAndSizeSanity)
     BitReader in(out);
     for (std::size_t i = 0; i < lines.size(); i++)
         ASSERT_EQ(dec.decodeLine(in), lines[i]) << "line " << i;
+    EXPECT_TRUE(dec.ok());
 
     // Size sanity: higher redundancy must not cost more than the
     // incompressible bound.

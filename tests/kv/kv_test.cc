@@ -5,7 +5,9 @@
  * Covers each layer in isolation — generator QoS arithmetic and drift,
  * value-model purity/versioning/snapshot, tiered-store exclusivity,
  * budget enforcement (including the writeback-growth path where a
- * rewrite compresses worse than what it replaced) — and the acceptance
+ * rewrite compresses worse than what it replaced), the tiered store in
+ * lockstep with a two-map reference of the same policy, hostile tier
+ * snapshots — and the acceptance
  * criterion end to end: a mid-run service snapshot restores into a
  * twin that replays the rest of the stream to byte-identical final
  * serialized state.
@@ -13,11 +15,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <vector>
 
+#include "compress/fpc.hh"
 #include "kv/generator.hh"
 #include "kv/service.hh"
 #include "kv/tier.hh"
@@ -406,6 +411,310 @@ TEST(KvTieredStore, SnapshotRoundTripsToIdenticalBytes)
     twin.saveState(s2);
     EXPECT_EQ(s2.frame(), frame);
     EXPECT_EQ(twin.stats().writebacks, ts.stats().writebacks);
+}
+
+/** One tier line as a KVTS frame holds it. */
+struct TierRow
+{
+    Addr addr;
+    std::uint32_t bytes;
+    std::uint64_t use;
+};
+
+/** A TieredStore snapshot in the KVTS layout: the clock, the stats,
+ *  then each tier's lines in the order given. */
+std::vector<std::uint8_t>
+kvtsFrame(std::uint64_t clock, const kv::TierStats &stats,
+          const std::vector<TierRow> &dram, const std::vector<TierRow> &ssd)
+{
+    snap::Serializer s;
+    s.beginSection("KVTS");
+    s.u64(clock);
+    stats.save(s);
+    for (const std::vector<TierRow> *tier : {&dram, &ssd}) {
+        s.u64(tier->size());
+        for (const TierRow &r : *tier) {
+            s.u64(r.addr);
+            s.u32(r.bytes);
+            s.u64(r.use);
+        }
+    }
+    s.endSection();
+    return s.frame();
+}
+
+/**
+ * The tiered store as it was built on std::map: per tier an
+ * address-ordered line map plus an LRU map keyed by stamp. Kept as the
+ * oracle the slab/list/index TieredStore must match op for op.
+ */
+class MapTiers
+{
+  public:
+    explicit MapTiers(const kv::TierConfig &cfg) : cfg_(cfg) {}
+
+    kv::TieredStore::FetchResult
+    fetch(Addr addr, const CacheLine &data)
+    {
+        if (const auto it = dram_.lines.find(addr); it != dram_.lines.end()) {
+            touch(dram_, addr, it->second);
+            stats_.dramHits++;
+            return {cfg_.dramLatency, kv::TierLevel::Dram};
+        }
+        if (const auto is = ssd_.lines.find(addr); is != ssd_.lines.end()) {
+            const Entry e = is->second;
+            ssd_.lru.erase(e.use);
+            ssd_.usedBytes -= charge(false, e.bytes);
+            ssd_.lines.erase(is);
+            stats_.ssdHits++;
+            stats_.promotions++;
+            insertInto(true, addr, e);
+            return {cfg_.ssdLatency, kv::TierLevel::Ssd};
+        }
+        stats_.originFetches++;
+        insertInto(true, addr, {sized(data), 0});
+        return {cfg_.originLatency, kv::TierLevel::Origin};
+    }
+
+    void
+    writeback(Addr addr, const CacheLine &data)
+    {
+        stats_.writebacks++;
+        for (const bool dram : {true, false}) {
+            Tier &t = dram ? dram_ : ssd_;
+            const auto it = t.lines.find(addr);
+            if (it == t.lines.end())
+                continue;
+            t.usedBytes -= charge(dram, it->second.bytes);
+            it->second.bytes = sized(data);
+            t.usedBytes += charge(dram, it->second.bytes);
+            touch(t, addr, it->second);
+            evictOver(dram);
+            return;
+        }
+        insertInto(true, addr, {sized(data), 0});
+    }
+
+    std::vector<std::uint8_t>
+    frame() const
+    {
+        std::vector<TierRow> rows[2];
+        for (const bool dram : {true, false})
+            for (const auto &[addr, e] : (dram ? dram_ : ssd_).lines)
+                rows[dram ? 0 : 1].push_back({addr, e.bytes, e.use});
+        return kvtsFrame(clock_, stats_, rows[0], rows[1]);
+    }
+
+    const kv::TierStats &stats() const { return stats_; }
+    std::uint64_t lines(bool dram) const
+    {
+        return (dram ? dram_ : ssd_).lines.size();
+    }
+    std::uint64_t usedBytes(bool dram) const
+    {
+        return (dram ? dram_ : ssd_).usedBytes;
+    }
+
+  private:
+    struct Entry
+    {
+        std::uint32_t bytes;
+        std::uint64_t use;
+    };
+    struct Tier
+    {
+        std::map<Addr, Entry> lines;
+        std::map<std::uint64_t, Addr> lru;
+        std::uint64_t usedBytes = 0;
+    };
+
+    static std::uint32_t
+    sized(const CacheLine &data)
+    {
+        return std::clamp<std::uint32_t>(
+            (comp::Fpc::lineBits(data) + 7) / 8, 1, kLineSize);
+    }
+
+    std::uint64_t
+    charge(bool dram, std::uint32_t bytes) const
+    {
+        return (dram ? cfg_.dramCompressed : cfg_.ssdCompressed)
+                   ? bytes
+                   : kLineSize;
+    }
+
+    void
+    touch(Tier &t, Addr addr, Entry &e)
+    {
+        t.lru.erase(e.use);
+        e.use = ++clock_;
+        t.lru[e.use] = addr;
+    }
+
+    void
+    insertInto(bool dram, Addr addr, Entry e)
+    {
+        Tier &t = dram ? dram_ : ssd_;
+        e.use = ++clock_;
+        t.lines[addr] = e;
+        t.lru[e.use] = addr;
+        t.usedBytes += charge(dram, e.bytes);
+        evictOver(dram);
+    }
+
+    void
+    evictOver(bool dram)
+    {
+        Tier &t = dram ? dram_ : ssd_;
+        const std::uint64_t budget = dram ? cfg_.dramBytes : cfg_.ssdBytes;
+        while (t.usedBytes > budget && !t.lru.empty()) {
+            const Addr va = t.lru.begin()->second;
+            const Entry ve = t.lines[va];
+            t.lru.erase(t.lru.begin());
+            t.lines.erase(va);
+            t.usedBytes -= charge(dram, ve.bytes);
+            if (dram) {
+                stats_.demotions++;
+                insertInto(false, va, ve);
+            } else {
+                stats_.ssdDrops++;
+            }
+        }
+    }
+
+    kv::TierConfig cfg_;
+    Tier dram_;
+    Tier ssd_;
+    std::uint64_t clock_ = 0;
+    kv::TierStats stats_;
+};
+
+/** Zero, small and random 32-bit words, so FPC sizes spread over
+ *  [1, 64] bytes. */
+CacheLine
+mixedLine(Rng &rng)
+{
+    CacheLine l;
+    const double zero = rng.uniform();
+    for (unsigned w = 0; w < kWordsPerLine; w++) {
+        if (rng.chance(zero))
+            continue;
+        l.setWord32(w, rng.chance(0.5)
+                           ? static_cast<std::uint32_t>(rng.below(200))
+                           : static_cast<std::uint32_t>(rng.next()));
+    }
+    return l;
+}
+
+std::vector<std::uint8_t>
+tierFrame(const kv::TieredStore &ts)
+{
+    snap::Serializer s;
+    ts.saveState(s);
+    return s.frame();
+}
+
+TEST(KvTieredStore, MatchesTheTwoMapDesignInLockstep)
+{
+    // Budgets small enough that both tiers evict; half way through the
+    // store round-trips through a snapshot and carries on restored.
+    for (const bool ssd_compressed : {true, false}) {
+        kv::TierConfig cfg;
+        cfg.dramBytes = 2 * 1024;
+        cfg.ssdBytes = 8 * 1024;
+        cfg.ssdCompressed = ssd_compressed;
+        MapTiers ref(cfg);
+        auto ts = std::make_unique<kv::TieredStore>(cfg);
+        Rng rng(ssd_compressed ? 31 : 32);
+        const int ops = 30000;
+        for (int i = 0; i < ops; i++) {
+            if (i == ops / 2) {
+                auto twin = std::make_unique<kv::TieredStore>(cfg);
+                snap::Deserializer d(tierFrame(*ts));
+                twin->restoreState(d);
+                ASSERT_TRUE(d.ok()) << d.error();
+                ts = std::move(twin);
+            }
+            // A hot range that keeps coming back, over a wide cold one.
+            const Addr a = 0x40 * (rng.chance(0.5) ? rng.below(96)
+                                                   : 96 + rng.below(900));
+            const CacheLine data =
+                rng.chance(0.3) ? zeroLine() : mixedLine(rng);
+            if (rng.chance(0.35)) {
+                ts->writeback(a, data);
+                ref.writeback(a, data);
+            } else {
+                const kv::TieredStore::FetchResult got = ts->fetch(a, data);
+                const kv::TieredStore::FetchResult want = ref.fetch(a, data);
+                ASSERT_EQ(got.level, want.level) << "op " << i;
+                ASSERT_EQ(got.latency, want.latency) << "op " << i;
+            }
+            const kv::TierStats &g = ts->stats();
+            const kv::TierStats &w = ref.stats();
+            ASSERT_EQ(g.dramHits, w.dramHits) << "op " << i;
+            ASSERT_EQ(g.ssdHits, w.ssdHits) << "op " << i;
+            ASSERT_EQ(g.originFetches, w.originFetches) << "op " << i;
+            ASSERT_EQ(g.promotions, w.promotions) << "op " << i;
+            ASSERT_EQ(g.demotions, w.demotions) << "op " << i;
+            ASSERT_EQ(g.ssdDrops, w.ssdDrops) << "op " << i;
+            ASSERT_EQ(g.writebacks, w.writebacks) << "op " << i;
+            ASSERT_EQ(ts->dramUsedBytes(), ref.usedBytes(true)) << "op " << i;
+            ASSERT_EQ(ts->ssdUsedBytes(), ref.usedBytes(false)) << "op " << i;
+            ASSERT_EQ(ts->dramLines(), ref.lines(true)) << "op " << i;
+            ASSERT_EQ(ts->ssdLines(), ref.lines(false)) << "op " << i;
+        }
+        ASSERT_TRUE(ts->audit().ok()) << ts->audit().str();
+        EXPECT_GT(ts->stats().ssdHits, 0u);
+        EXPECT_GT(ts->stats().ssdDrops, 0u);
+        EXPECT_EQ(tierFrame(*ts), ref.frame());
+    }
+}
+
+bool
+tiersRestore(const std::vector<std::uint8_t> &frame)
+{
+    kv::TieredStore ts(tinyTiers());
+    snap::Deserializer d(frame);
+    ts.restoreState(d);
+    if (d.ok()) {
+        EXPECT_TRUE(ts.audit().ok()) << ts.audit().str();
+    }
+    return d.ok();
+}
+
+TEST(KvTieredStore, RestoreRejectsHostileFrames)
+{
+    const kv::TierStats stats;
+    const std::vector<TierRow> dram = {{0x40, 10, 3}, {0x80, 64, 1}};
+    const std::vector<TierRow> ssd = {{0xc0, 5, 2}};
+    // The well-formed frame restores and saves back to the same bytes.
+    const std::vector<std::uint8_t> good = kvtsFrame(3, stats, dram, ssd);
+    {
+        kv::TieredStore ts(tinyTiers());
+        snap::Deserializer d(good);
+        ts.restoreState(d);
+        ASSERT_TRUE(d.ok()) << d.error();
+        EXPECT_EQ(tierFrame(ts), good);
+    }
+    // Two lines of one tier with one stamp.
+    EXPECT_FALSE(tiersRestore(
+        kvtsFrame(3, stats, {{0x40, 10, 3}, {0x80, 64, 3}}, ssd)));
+    EXPECT_FALSE(tiersRestore(
+        kvtsFrame(3, stats, dram, {{0xc0, 5, 2}, {0x100, 5, 2}})));
+    // Addresses out of order, or repeated.
+    EXPECT_FALSE(tiersRestore(
+        kvtsFrame(3, stats, {{0x80, 64, 1}, {0x40, 10, 3}}, ssd)));
+    EXPECT_FALSE(tiersRestore(
+        kvtsFrame(3, stats, {{0x40, 10, 1}, {0x40, 10, 3}}, ssd)));
+    // A stamp the saved clock never handed out.
+    EXPECT_FALSE(tiersRestore(kvtsFrame(2, stats, dram, ssd)));
+    EXPECT_FALSE(tiersRestore(
+        kvtsFrame(3, stats, dram, {{0xc0, 5, 4}})));
+    // A stored size no line compresses to.
+    EXPECT_FALSE(tiersRestore(
+        kvtsFrame(3, stats, {{0x40, 0, 3}, {0x80, 64, 1}}, ssd)));
+    EXPECT_FALSE(tiersRestore(
+        kvtsFrame(3, stats, {{0x40, 65, 3}, {0x80, 64, 1}}, ssd)));
 }
 
 // ------------------------------------------------------------------
