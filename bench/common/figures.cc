@@ -60,107 +60,39 @@ std::uint64_t g_telemetryEpoch = 0;
 bool g_traceEvents = false;
 std::string g_warmDir;
 
-} // namespace
-
-std::string
-warmFingerprint(const sim::SystemConfig &cfg,
-                const std::vector<trace::BenchmarkSpec> &programs,
-                std::uint64_t warmup)
-{
-    std::string f;
-    const auto add = [&f](const std::string &part) {
-        f += part;
-        f += '\x1f';
-    };
-    const auto u = [&](std::uint64_t v) { add(std::to_string(v)); };
-    const auto d = [&](double v) {
-        char buf[40];
-        std::snprintf(buf, sizeof buf, "%.17g", v);
-        add(buf);
-    };
-    u(static_cast<std::uint64_t>(cfg.scheme));
-    u(cfg.numCores);
-    u(cfg.llcBytesPerCore);
-    d(cfg.bandwidthPerCore);
-    d(cfg.clockHz);
-    u(cfg.l1Bytes);
-    u(cfg.l1Ways);
-    u(cfg.l1Latency);
-    u(cfg.llcLatency);
-    u(cfg.dramCycles);
-    u(cfg.threadsPerCore);
-    u(cfg.interleaveQuantum);
-    u(cfg.inclusiveWriteFills ? 1 : 0);
-    u(cfg.ratioSampleInterval);
-    u(cfg.checkFunctional ? 1 : 0);
-    u(cfg.useMorcOverride ? 1 : 0);
-    if (cfg.useMorcOverride) {
-        u(cfg.morc.capacityBytes);
-        u(cfg.morc.logBytes);
-        u(cfg.morc.activeLogs);
-        u(cfg.morc.lmtFactor);
-        u(cfg.morc.lmtWays);
-        u(cfg.morc.mergedTags ? 1 : 0);
-        d(cfg.morc.tagStoreFactor);
-        u(cfg.morc.tagBases);
-        d(cfg.morc.fudge);
-        u(cfg.morc.compressionEnabled ? 1 : 0);
-        u(cfg.morc.unlimitedMeta ? 1 : 0);
-        u(cfg.morc.decompressBytesPerCycle);
-        u(cfg.morc.tagsPerCycle);
-        u(cfg.morc.parallelTagData ? 1 : 0);
-    }
-    u(cfg.useMesh ? 1 : 0);
-    if (cfg.useMesh) {
-        u(cfg.meshCfg.width);
-        u(cfg.meshCfg.height);
-        u(cfg.meshCfg.memControllers);
-        u(cfg.meshCfg.interleaveBytes);
-        u(cfg.meshCfg.hopCycles);
-        u(cfg.meshCfg.linkBytesPerCycle);
-        u(cfg.meshCfg.headerBytes);
-    }
-    u(cfg.telemetryEpoch);
-    u(cfg.telemetryMaxSamples);
-    u(cfg.traceEvents ? 1 : 0);
-    u(cfg.traceCapacity);
-    u(cfg.writebackBurstThreshold);
-    u(cfg.nocStallThreshold);
-    for (const stats::Histogram *h :
-         {cfg.decompressedBytesHistogram, cfg.hitLatencyHistogram}) {
-        if (!h) {
-            add("-");
-            continue;
-        }
-        for (std::uint64_t b : h->bounds())
-            u(b);
-        add(";");
-    }
-    for (const auto &p : programs)
-        add(p.name);
-    u(warmup);
-    return f;
-}
-
-namespace {
-
-/** One mutex per warm fingerprint, so concurrent tasks that share a
+/** One mutex per warm-snapshot path, so concurrent tasks that share a
  *  warm-up phase simulate it exactly once; everyone else restores. The
  *  map only grows and node references are stable, so the returned
  *  reference outlives the master lock. */
 sync::Mutex &
-warmMutex(const std::string &fingerprint)
+warmMutex(const std::string &path)
 {
     static sync::Mutex master;
     static std::map<std::string, sync::Mutex> locks;
     sync::LockGuard lock(master);
-    return locks[fingerprint];
+    return locks[path];
+}
+
+/** Hash (stableSeed) of the bytes a still-cold @p sys saves: its SCFG
+ *  section, its programs and every component's geometry checks, which
+ *  are exactly what a restore into it checks. */
+std::uint64_t
+coldKey(const sim::System &sys)
+{
+    snap::Serializer s;
+    sys.saveState(s);
+    const std::vector<std::uint8_t> &bytes = s.payload();
+    return sweep::stableSeed(
+        {reinterpret_cast<const char *>(bytes.data()), bytes.size()});
 }
 
 /**
- * Warm-up via the snapshot cache: restore DIR/warm/<hash>.morcsnp when
- * present, else simulate the warm-up once and save it. Any rejected or
- * unwritable snapshot degrades to a cold warm-up — never an abort.
+ * Warm-up via the snapshot cache: restore
+ * DIR/warm/<coldKey>-w<warmup>.morcsnp when present, else simulate the
+ * warm-up once and save it. Runs whose cold systems save the same
+ * bytes share a file; the warm-up budget, which no restore can check,
+ * is in the name verbatim. Any rejected or unwritable snapshot
+ * degrades to a cold warm-up — never an abort.
  */
 void
 warmViaCheckpoint(std::unique_ptr<sim::System> &sys,
@@ -168,13 +100,13 @@ warmViaCheckpoint(std::unique_ptr<sim::System> &sys,
                   const std::vector<trace::BenchmarkSpec> &programs,
                   std::uint64_t warmup)
 {
-    const std::string fp = warmFingerprint(cfg, programs, warmup);
-    char name[32];
-    std::snprintf(name, sizeof name, "%016llx.morcsnp",
-                  static_cast<unsigned long long>(sweep::stableSeed(fp)));
+    char name[64];
+    std::snprintf(name, sizeof name, "%016llx-w%llu.morcsnp",
+                  static_cast<unsigned long long>(coldKey(*sys)),
+                  static_cast<unsigned long long>(warmup));
     const std::string path = g_warmDir + "/" + name;
 
-    sync::LockGuard lock(warmMutex(fp));
+    sync::LockGuard lock(warmMutex(path));
     std::error_code ec;
     if (std::filesystem::exists(path, ec)) {
         std::string err;
@@ -1781,8 +1713,17 @@ sweepMain(int argc, char **argv)
         const auto f0 = std::chrono::steady_clock::now();
         std::unique_ptr<sweep::Journal> journal;
         if (!checkpointDir.empty()) {
+            // A record is a function of its task key and of these
+            // run-wide settings, so each combination has its own file.
+            char inputs[96];
+            std::snprintf(inputs, sizeof inputs,
+                          "-i%llu-w%llu-e%llu-t%d.journal",
+                          static_cast<unsigned long long>(g_instr),
+                          static_cast<unsigned long long>(g_warmup),
+                          static_cast<unsigned long long>(g_telemetryEpoch),
+                          g_traceEvents ? 1 : 0);
             journal = std::make_unique<sweep::Journal>(
-                checkpointDir + "/" + fig->name + ".journal");
+                checkpointDir + "/" + fig->name + inputs);
             journal->load();
         }
         stats::Report rep;

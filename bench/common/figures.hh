@@ -16,35 +16,8 @@
 #ifndef MORC_BENCH_FIGURES_HH
 #define MORC_BENCH_FIGURES_HH
 
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "sim/system.hh"
-#include "trace/workload.hh"
-
 namespace morc {
 namespace bench {
-
-/**
- * Canonical description of everything that determines a warmed-up
- * system: the effective config, the programs, and the warm-up budget.
- * Hashed (stableSeed) into the warm-snapshot filename, so identical
- * warm-up phases — across figures or across invocations — simulate once
- * and restore thereafter.
- *
- * The restore re-validates all of it except the warm-up budget: the
- * snapshot's SCFG section checks 35 config values (every one hashed
- * here outside the MORC geometry) and the programs, the MORC override's
- * geometry is checked by the LLC's own walk, and the histograms' bounds
- * by theirs. Only this hash separates snapshots that differ in the
- * warm-up budget; a collision between two such runs would restore the
- * wrong warm state. Any other mismatch is rejected and the caller falls
- * back to a cold warm-up. This list and SCFG's are still kept by hand.
- */
-std::string warmFingerprint(const sim::SystemConfig &cfg,
-                            const std::vector<trace::BenchmarkSpec> &programs,
-                            std::uint64_t warmup);
 
 /**
  * The morc_sweep CLI: `[--jobs N] [--out DIR] [--checkpoint-dir DIR]

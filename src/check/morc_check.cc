@@ -346,11 +346,12 @@ checkWritebacks(const std::string &scheme, std::uint64_t op,
     return ok;
 }
 
+/** Audit a cache or a KV service; false after reporting a violation. */
 bool
-runAudit(const std::string &scheme, std::uint64_t op, cache::Llc &c,
-         RunStats &st)
+runAudit(const std::string &label, std::uint64_t op,
+         const check::Auditable &x, RunStats &st)
 {
-    const check::AuditReport r = c.audit();
+    const check::AuditReport r = x.audit();
     st.audits++;
     st.auditChecks += r.checksRun();
     if (r.ok())
@@ -358,7 +359,7 @@ runAudit(const std::string &scheme, std::uint64_t op, cache::Llc &c,
     std::fprintf(stderr,
                  "morc_check: AUDIT FAILURE scheme=%s op=%" PRIu64
                  " (%" PRIu64 " violation(s) in %" PRIu64 " checks)\n%s",
-                 scheme.c_str(), op, r.violations(), r.checksRun(),
+                 label.c_str(), op, r.violations(), r.checksRun(),
                  r.str().c_str());
     return false;
 }
@@ -435,12 +436,12 @@ checkEvents(const std::string &scheme, const telemetry::Tracer &tracer,
     return ok;
 }
 
-/** Serialize @p c into a sealed frame. */
+/** Serialize a cache or a KV service into a sealed frame. */
 std::vector<std::uint8_t>
-snapshotBytes(const cache::Llc &c)
+snapshotBytes(const snap::Snapshottable &x)
 {
     snap::Serializer s;
-    c.saveState(s);
+    x.saveState(s);
     return s.frame();
 }
 
@@ -463,20 +464,20 @@ sameFill(const cache::FillResult &a, const cache::FillResult &b)
 }
 
 /**
- * --snapshot fork: serialize @p cache, restore into a fresh twin,
- * audit the twin, verify it re-serializes to the very same bytes, and
- * verify a one-byte-tampered frame is rejected. Returns the twin (to
- * be driven in lockstep for the rest of the stream), or nullptr after
- * reporting a failure.
+ * --snapshot fork of a cache or a KV service: serialize @p live,
+ * restore it into a fresh twin from @p make, audit the twin, verify it
+ * re-serializes to the very same bytes, and verify a one-byte-tampered
+ * frame is rejected. Returns the twin (to be driven in lockstep for
+ * the rest of the stream), or nullptr after reporting a failure.
  */
-std::unique_ptr<cache::Llc>
-forkViaSnapshot(const std::string &label, std::uint64_t op,
-                const std::string &scheme, const Options &opt,
-                cache::Llc &cache, RunStats &st)
+template <typename T, typename Make>
+std::unique_ptr<T>
+forkViaSnapshot(const std::string &label, std::uint64_t op, const T &live,
+                Make &&make, RunStats &st)
 {
-    const std::vector<std::uint8_t> frame = snapshotBytes(cache);
+    const std::vector<std::uint8_t> frame = snapshotBytes(live);
 
-    auto twin = makeCache(scheme, opt);
+    std::unique_ptr<T> twin = make();
     snap::Deserializer d(frame);
     twin->restoreState(d);
     if (!d.ok()) {
@@ -488,7 +489,7 @@ forkViaSnapshot(const std::string &label, std::uint64_t op,
         return nullptr;
     if (snapshotBytes(*twin) != frame) {
         diverged(label, op,
-                 "restored cache re-serializes to different bytes");
+                 "restored twin re-serializes to different bytes");
         return nullptr;
     }
 
@@ -497,9 +498,8 @@ forkViaSnapshot(const std::string &label, std::uint64_t op,
     // the whole guard.
     std::vector<std::uint8_t> tampered = frame;
     tampered[tampered.size() / 2] ^= 0x01;
-    auto victim = makeCache(scheme, opt);
     snap::Deserializer dt(std::move(tampered));
-    victim->restoreState(dt);
+    make()->restoreState(dt);
     if (dt.ok()) {
         diverged(label, op, "tampered snapshot was accepted");
         return nullptr;
@@ -561,7 +561,9 @@ runScheme(const std::string &scheme, const Options &opt)
 
     for (std::uint64_t op = 0; op < opt.ops && ok; op++) {
         if (op == snapOp) {
-            twin = forkViaSnapshot(label, op, scheme, opt, *cache, st);
+            twin = forkViaSnapshot(
+                label, op, *cache, [&] { return makeCache(scheme, opt); },
+                st);
             if (!twin) {
                 ok = false;
                 break;
@@ -852,31 +854,6 @@ kvConfig(sim::Scheme scheme, const Options &opt)
     return cfg;
 }
 
-std::vector<std::uint8_t>
-kvSnapshotBytes(const kv::Service &svc)
-{
-    snap::Serializer s;
-    svc.saveState(s);
-    return s.frame();
-}
-
-bool
-runKvAudit(const std::string &label, std::uint64_t op,
-           const kv::Service &svc, RunStats &st)
-{
-    const check::AuditReport r = svc.audit();
-    st.audits++;
-    st.auditChecks += r.checksRun();
-    if (r.ok())
-        return true;
-    std::fprintf(stderr,
-                 "morc_check: AUDIT FAILURE scheme=%s op=%" PRIu64
-                 " (%" PRIu64 " violation(s) in %" PRIu64 " checks)\n%s",
-                 label.c_str(), op, r.violations(), r.checksRun(),
-                 r.str().c_str());
-    return false;
-}
-
 /**
  * Drive a full kv::Service (generator -> front Llc -> tiered store)
  * in lockstep with an independent reference: a version ledger per
@@ -919,41 +896,13 @@ runKvScheme(const std::string &scheme, const Options &opt)
 
     for (std::uint64_t op = 0; op < opt.ops && ok; op++) {
         if (opt.snapshot && op == opt.ops / 2) {
-            const std::vector<std::uint8_t> frame = kvSnapshotBytes(svc);
-            twin = std::make_unique<kv::Service>(cfg);
-            snap::Deserializer d(frame);
-            twin->restoreState(d);
-            if (!d.ok()) {
-                ok = diverged(label, op,
-                              "kv snapshot restore rejected its own "
-                              "bytes: %s",
-                              d.error().c_str());
-                break;
-            }
-            if (kvSnapshotBytes(*twin) != frame) {
-                ok = diverged(label, op,
-                              "restored kv service re-serializes to "
-                              "different bytes");
-                break;
-            }
-            std::vector<std::uint8_t> tampered = frame;
-            tampered[tampered.size() / 2] ^= 0x01;
-            kv::Service victim(cfg);
-            snap::Deserializer dt(std::move(tampered));
-            victim.restoreState(dt);
-            if (dt.ok()) {
-                ok = diverged(label, op,
-                              "tampered kv snapshot was accepted");
-                break;
-            }
-            if (!runKvAudit(label + "(restored)", op, *twin, st)) {
+            twin = forkViaSnapshot(
+                label, op, svc,
+                [&] { return std::make_unique<kv::Service>(cfg); }, st);
+            if (!twin) {
                 ok = false;
                 break;
             }
-            std::printf("%-13s snapshot fork at op=%" PRIu64
-                        ": %zu bytes, restore + audit + tamper-reject "
-                        "OK\n",
-                        label.c_str(), op, frame.size());
         }
 
         const kv::Service::Reply r = svc.step();
@@ -1007,17 +956,17 @@ runKvScheme(const std::string &scheme, const Options &opt)
         }
 
         if (opt.auditEvery && (op + 1) % opt.auditEvery == 0) {
-            ok = runKvAudit(label, op, svc, st) && ok;
+            ok = runAudit(label, op, svc, st) && ok;
             if (twin)
-                ok = runKvAudit(label + "(twin)", op, *twin, st) && ok;
+                ok = runAudit(label + "(twin)", op, *twin, st) && ok;
         }
     }
 
     if (ok)
-        ok = runKvAudit(label, opt.ops, svc, st);
+        ok = runAudit(label, opt.ops, svc, st);
     if (ok && twin) {
-        ok = runKvAudit(label + "(twin)", opt.ops, *twin, st);
-        if (ok && kvSnapshotBytes(*twin) != kvSnapshotBytes(svc))
+        ok = runAudit(label + "(twin)", opt.ops, *twin, st);
+        if (ok && snapshotBytes(*twin) != snapshotBytes(svc))
             ok = diverged(label, opt.ops,
                           "kv twin's final serialized bytes differ "
                           "from the primary's");

@@ -85,7 +85,9 @@ struct SystemConfig
     /** Verify every returned line against the expected value model. */
     bool checkFunctional = false;
 
-    /** MORC parameter override for Morc/MorcMerged schemes. */
+    /** MORC parameter override for Morc/MorcMerged schemes. Its
+     *  capacityBytes and mergedTags are ignored: the LLC is sized from
+     *  llcBytesPerCore x numCores, and MorcMerged selects merged tags. */
     core::MorcConfig morc{};
     bool useMorcOverride = false;
 

@@ -5,13 +5,14 @@
  * after warm-up and restored into a fresh instance must continue
  * *byte-identically*: the measured-window results match and the final
  * serialized states are equal down to the last bit. Plus rejection of
- * mismatched configs (every config field no component checks),
+ * mismatched configs (every config field, each in the cold frame),
  * mismatched workloads, and corrupt files.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -310,20 +311,39 @@ TEST(SystemSnapshot, RejectsConfigMismatch)
 
 TEST(SystemSnapshot, RejectsEveryConfigFieldMismatch)
 {
-    // Fields that shape a run but that no component's walk checks:
-    // only SCFG can refuse a snapshot taken under another value of any
-    // of them.
+    // Every scalar field of SystemConfig, MorcConfig, LbeConfig and
+    // MeshConfig, and each caller histogram's presence and bounds, must
+    // change the frame a still-cold System saves (morc_sweep names its
+    // warm snapshots by that frame) and must make a restore refuse a
+    // snapshot taken under the base value. The base turns on the MORC
+    // override and the mesh, so that their fields take effect.
+    stats::Histogram decomp({64, 128, 256, 512});
+    stats::Histogram lat({16, 32, 64});
+    stats::Histogram decompOther({64, 128, 256, 1024});
+    stats::Histogram latOther({16, 32, 128});
     SystemConfig base = flatConfig(Scheme::Morc);
     base.useMorcOverride = true;
     base.useMesh = true;
     base.meshCfg.width = 2;
     base.meshCfg.height = 2;
+    base.decompressedBytesHistogram = &decomp;
+    base.hitLatencyHistogram = &lat;
+
+    const auto cold = [](const SystemConfig &cfg) {
+        for (stats::Histogram *h :
+             {cfg.decompressedBytesHistogram, cfg.hitLatencyHistogram})
+            if (h)
+                h->clear();
+        return stateBytes(System(cfg, programs(cfg.numCores)));
+    };
+    const std::vector<std::uint8_t> coldBase = cold(base);
+    ASSERT_TRUE(cold(base) == coldBase) << "the cold frame is not stable";
+
     System saver(base, programs(2));
     saver.warmup(5'000);
     const auto frame = stateBytes(saver);
-
     const auto restores = [&](const SystemConfig &cfg, std::string *err) {
-        System other(cfg, programs(2));
+        System other(cfg, programs(cfg.numCores));
         snap::Deserializer d(frame);
         other.restoreState(d);
         *err = d.error();
@@ -332,16 +352,60 @@ TEST(SystemSnapshot, RejectsEveryConfigFieldMismatch)
     std::string err;
     ASSERT_TRUE(restores(base, &err)) << err;
 
-    const std::vector<std::pair<const char *,
-                                void (*)(SystemConfig &)>> perturb = {
-        {"meshCfg.interleaveBytes",
-         [](SystemConfig &c) { c.meshCfg.interleaveBytes *= 2; }},
-        {"meshCfg.hopCycles",
-         [](SystemConfig &c) { c.meshCfg.hopCycles += 1; }},
-        {"meshCfg.linkBytesPerCycle",
-         [](SystemConfig &c) { c.meshCfg.linkBytesPerCycle *= 2; }},
-        {"meshCfg.headerBytes",
-         [](SystemConfig &c) { c.meshCfg.headerBytes *= 2; }},
+    using Change = std::function<void(SystemConfig &)>;
+    const std::vector<std::pair<const char *, Change>> perturb = {
+        {"scheme", [](SystemConfig &c) { c.scheme = Scheme::MorcMerged; }},
+        {"numCores", [](SystemConfig &c) { c.numCores += 1; }},
+        {"llcBytesPerCore", [](SystemConfig &c) { c.llcBytesPerCore *= 2; }},
+        {"bandwidthPerCore",
+         [](SystemConfig &c) { c.bandwidthPerCore *= 2; }},
+        {"clockHz", [](SystemConfig &c) { c.clockHz *= 2; }},
+        {"l1Bytes", [](SystemConfig &c) { c.l1Bytes *= 2; }},
+        {"l1Ways", [](SystemConfig &c) { c.l1Ways *= 2; }},
+        {"l1Latency", [](SystemConfig &c) { c.l1Latency += 1; }},
+        {"llcLatency", [](SystemConfig &c) { c.llcLatency += 1; }},
+        {"dramCycles", [](SystemConfig &c) { c.dramCycles += 1; }},
+        {"threadsPerCore", [](SystemConfig &c) { c.threadsPerCore += 1; }},
+        {"interleaveQuantum",
+         [](SystemConfig &c) { c.interleaveQuantum += 1; }},
+        {"inclusiveWriteFills",
+         [](SystemConfig &c) {
+             c.inclusiveWriteFills = !c.inclusiveWriteFills;
+         }},
+        {"ratioSampleInterval",
+         [](SystemConfig &c) { c.ratioSampleInterval *= 2; }},
+        {"checkFunctional",
+         [](SystemConfig &c) { c.checkFunctional = !c.checkFunctional; }},
+        {"useMorcOverride",
+         [](SystemConfig &c) { c.useMorcOverride = !c.useMorcOverride; }},
+        {"useMesh", [](SystemConfig &c) { c.useMesh = !c.useMesh; }},
+        {"telemetryEpoch",
+         [](SystemConfig &c) { c.telemetryEpoch += 10'000; }},
+        {"telemetryMaxSamples",
+         [](SystemConfig &c) { c.telemetryMaxSamples += 1; }},
+        {"traceEvents",
+         [](SystemConfig &c) { c.traceEvents = !c.traceEvents; }},
+        {"traceCapacity", [](SystemConfig &c) { c.traceCapacity *= 2; }},
+        {"writebackBurstThreshold",
+         [](SystemConfig &c) { c.writebackBurstThreshold += 1; }},
+        {"nocStallThreshold",
+         [](SystemConfig &c) { c.nocStallThreshold += 1; }},
+        {"morc.logBytes", [](SystemConfig &c) { c.morc.logBytes *= 2; }},
+        {"morc.activeLogs", [](SystemConfig &c) { c.morc.activeLogs /= 2; }},
+        {"morc.lmtFactor", [](SystemConfig &c) { c.morc.lmtFactor /= 2; }},
+        {"morc.lmtWays", [](SystemConfig &c) { c.morc.lmtWays /= 2; }},
+        {"morc.tagStoreFactor",
+         [](SystemConfig &c) { c.morc.tagStoreFactor += 1.0; }},
+        {"morc.tagBases", [](SystemConfig &c) { c.morc.tagBases = 1; }},
+        {"morc.fudge", [](SystemConfig &c) { c.morc.fudge *= 2; }},
+        {"morc.compressionEnabled",
+         [](SystemConfig &c) {
+             c.morc.compressionEnabled = !c.morc.compressionEnabled;
+         }},
+        {"morc.unlimitedMeta",
+         [](SystemConfig &c) {
+             c.morc.unlimitedMeta = !c.morc.unlimitedMeta;
+         }},
         {"morc.decompressBytesPerCycle",
          [](SystemConfig &c) { c.morc.decompressBytesPerCycle /= 2; }},
         {"morc.tagsPerCycle",
@@ -350,18 +414,59 @@ TEST(SystemSnapshot, RejectsEveryConfigFieldMismatch)
          [](SystemConfig &c) {
              c.morc.parallelTagData = !c.morc.parallelTagData;
          }},
-        {"writebackBurstThreshold",
-         [](SystemConfig &c) { c.writebackBurstThreshold += 1; }},
-        {"nocStallThreshold",
-         [](SystemConfig &c) { c.nocStallThreshold += 1; }},
+        {"morc.lbe.dictBytes",
+         [](SystemConfig &c) { c.morc.lbe.dictBytes /= 2; }},
+        {"morc.lbe.nodes64",
+         [](SystemConfig &c) { c.morc.lbe.nodes64 /= 2; }},
+        {"morc.lbe.nodes128",
+         [](SystemConfig &c) { c.morc.lbe.nodes128 /= 2; }},
+        {"morc.lbe.nodes256",
+         [](SystemConfig &c) { c.morc.lbe.nodes256 /= 2; }},
+        {"meshCfg.width", [](SystemConfig &c) { c.meshCfg.width *= 2; }},
+        {"meshCfg.height", [](SystemConfig &c) { c.meshCfg.height *= 2; }},
+        {"meshCfg.memControllers",
+         [](SystemConfig &c) { c.meshCfg.memControllers -= 1; }},
+        {"meshCfg.interleaveBytes",
+         [](SystemConfig &c) { c.meshCfg.interleaveBytes *= 2; }},
+        {"meshCfg.hopCycles",
+         [](SystemConfig &c) { c.meshCfg.hopCycles += 1; }},
+        {"meshCfg.linkBytesPerCycle",
+         [](SystemConfig &c) { c.meshCfg.linkBytesPerCycle *= 2; }},
+        {"meshCfg.headerBytes",
+         [](SystemConfig &c) { c.meshCfg.headerBytes *= 2; }},
+        {"decompressedBytesHistogram presence",
+         [](SystemConfig &c) { c.decompressedBytesHistogram = nullptr; }},
+        {"decompressedBytesHistogram bounds",
+         [&](SystemConfig &c) { c.decompressedBytesHistogram = &decompOther; }},
+        {"hitLatencyHistogram presence",
+         [](SystemConfig &c) { c.hitLatencyHistogram = nullptr; }},
+        {"hitLatencyHistogram bounds",
+         [&](SystemConfig &c) { c.hitLatencyHistogram = &latOther; }},
     };
     for (const auto &[field, change] : perturb) {
         SystemConfig cfg = base;
         change(cfg);
+        EXPECT_TRUE(cold(cfg) != coldBase)
+            << field << " does not change the cold frame";
         EXPECT_FALSE(restores(cfg, &err)) << field;
-        EXPECT_NE(err.find("system configuration mismatch"),
-                  std::string::npos)
+        EXPECT_NE(err.find("mismatch"), std::string::npos)
             << field << ": " << err;
+    }
+
+    // makeLlc sizes the LLC from llcBytesPerCore x numCores and selects
+    // merged tags by scheme, so these two override fields are ignored.
+    const std::vector<std::pair<const char *, Change>> ignored = {
+        {"morc.capacityBytes",
+         [](SystemConfig &c) { c.morc.capacityBytes *= 2; }},
+        {"morc.mergedTags",
+         [](SystemConfig &c) { c.morc.mergedTags = !c.morc.mergedTags; }},
+    };
+    for (const auto &[field, change] : ignored) {
+        SystemConfig cfg = base;
+        change(cfg);
+        EXPECT_TRUE(cold(cfg) == coldBase)
+            << field << " changes the cold frame";
+        EXPECT_TRUE(restores(cfg, &err)) << field << ": " << err;
     }
 }
 

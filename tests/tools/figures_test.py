@@ -18,7 +18,11 @@ Cases:
   CheckpointResume  `fig7 fig14` against one --checkpoint-dir: the
                     second run resumes from the journal, a third with
                     the journals removed restores the warm snapshots,
-                    and all three match the plain report digests.
+                    and all three match the plain report digests. The
+                    directory then holds 56 warm snapshots, and reruns
+                    at another MORC_BENCH_INSTR, with --telemetry-epoch
+                    and with --trace-out neither resume nor reject and
+                    match a sweep without the directory.
   TracedFig7Fig14   `--telemetry-epoch 1000 --trace-out T fig7 fig14`:
                     every run carries a series section and a trace.
   RejectsBadBudget  `table1` exits 1 naming the variable, before any
@@ -112,40 +116,79 @@ def traced_mesh(binary, golden, tmp):
         os.path.join(golden, "figures_traced_mesh.sha256"), fresh)
 
 
+# Reruns against a used --checkpoint-dir under settings that change a
+# record: (name, environment, arguments; TRACE is the trace file).
+RERUNS = [
+    ("budget", {"MORC_BENCH_INSTR": "3000"}, []),
+    ("telemetry", {}, ["--telemetry-epoch", "1000"]),
+    ("trace", {}, ["--trace-out", "TRACE"]),
+]
+
+
 def checkpoint_resume(binary, golden, tmp):
     pinned = read_digests(os.path.join(golden, "figures_report.sha256"))
     ckpt = os.path.join(tmp, "ckpt")
+
+    def run(name, args=(), env=None, checkpoint=True):
+        """Sweep fig7 and fig14 into tmp/name: (stderr, output digests)."""
+        out = os.path.join(tmp, name)
+        trace = os.path.join(tmp, name + ".trace.json")
+        args = [trace if a == "TRACE" else a for a in args]
+        if checkpoint:
+            args += ["--checkpoint-dir", ckpt]
+        proc = sweep(binary, ["--jobs", "4", "--out", out] + args +
+                     ["fig7", "fig14"], env)
+        digests = {f: file_digest(os.path.join(out, f))
+                   for f in ("fig7.json", "fig14.json")}
+        if os.path.exists(trace):
+            digests["trace"] = file_digest(trace)
+        return proc.stderr.decode(errors="replace"), digests
+
     failures = 0
-    for run in ("first", "resumed", "warm"):
-        if run == "warm":
-            for name in os.listdir(ckpt):
-                if name.endswith(".journal"):
-                    os.remove(os.path.join(ckpt, name))
-        out = os.path.join(tmp, run)
-        proc = sweep(binary, ["--jobs", "4", "--checkpoint-dir", ckpt,
-                              "--out", out, "fig7", "fig14"])
-        log = proc.stderr.decode(errors="replace")
-        if (run == "resumed") != ("resuming" in log):
-            want = "lacks" if run == "resumed" else "has"
-            print(f"{run} run: stderr {want} 'resuming':\n{log}",
+    for name in ("first", "resumed", "warm"):
+        if name == "warm":
+            for f in os.listdir(ckpt):
+                if f.endswith(".journal"):
+                    os.remove(os.path.join(ckpt, f))
+        log, digests = run(name)
+        if (name == "resumed") != ("resuming" in log):
+            want = "lacks" if name == "resumed" else "has"
+            print(f"{name} run: stderr {want} 'resuming':\n{log}",
                   file=sys.stderr)
             failures += 1
         if "rejected" in log:
-            print(f"{run} run rejected a warm snapshot:\n{log}",
+            print(f"{name} run rejected a warm snapshot:\n{log}",
                   file=sys.stderr)
             failures += 1
-        for name in ("fig7.json", "fig14.json"):
-            if file_digest(os.path.join(out, name)) != pinned[name]:
-                print(f"{run} run: {name} differs from the plain sweep",
+        for f, digest in digests.items():
+            if digest != pinned[f]:
+                print(f"{name} run: {f} differs from the plain sweep",
                       file=sys.stderr)
                 failures += 1
-    warm = os.listdir(os.path.join(ckpt, "warm"))
-    if not warm:
-        print("no warm snapshot was written", file=sys.stderr)
+    # fig14 attaches two histograms to fig7's 28 points, so the two
+    # figures must not share a warm snapshot.
+    warm = len(os.listdir(os.path.join(ckpt, "warm")))
+    if warm != 56:
+        print(f"{warm} warm snapshots, want 28 for fig7 and 28 for "
+              f"fig14", file=sys.stderr)
         failures += 1
+    for name, env, args in RERUNS:
+        log, digests = run(name, args, env)
+        _, fresh = run(name + "-fresh", args, env, checkpoint=False)
+        for word in ("resuming", "rejected"):
+            if word in log:
+                print(f"{name} rerun: stderr has '{word}':\n{log}",
+                      file=sys.stderr)
+                failures += 1
+        for f in sorted(set(digests) | set(fresh)):
+            if digests.get(f) != fresh.get(f):
+                print(f"{name} rerun: {f} differs from a sweep without "
+                      f"--checkpoint-dir", file=sys.stderr)
+                failures += 1
     if failures == 0:
         print(f"resumed and warm-restored reports match the plain "
-              f"digests ({len(warm)} warm snapshots)")
+              f"digests ({warm} warm snapshots); {len(RERUNS)} reruns "
+              f"under other settings match fresh sweeps")
     return 1 if failures else 0
 
 
