@@ -8,9 +8,9 @@
  * Sections 3.2 and 5.4 discuss.
  *
  * Exploration is expressed as a sweep: every design point is an
- * independent sweep::Task, fanned out over a work-stealing pool, and
- * the tables are printed from the collected records — the same pattern
- * the bench figures use (bench/common/figures.cc).
+ * independent sweep::Task, run by the sweep engine's workers, and the
+ * tables are printed from the collected records — the same pattern the
+ * bench figures use (bench/common/figures.cc).
  *
  * Usage: design_space [workload] [jobs] (default: gcc, all cores).
  */

@@ -4,7 +4,7 @@
 #   ./run_benches.sh                     # all figures, all cores
 #   ./run_benches.sh --jobs 4 fig6 fig8  # a subset on 4 threads
 #   ./run_benches.sh --out results       # also write JSON reports
-#   ./run_benches.sh --smoke             # CI gate: gates + 4 figures
+#   ./run_benches.sh --smoke             # CI gate: perf gates + 4 figures
 #
 # Budgets scale with MORC_BENCH_INSTR / MORC_BENCH_WARMUP. Any bench
 # failure (crash or failed sweep task) propagates as a non-zero exit.
@@ -12,13 +12,13 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # --smoke: a fast end-to-end exercise of the sweep engine for CI. On a
-# tiny instruction budget it runs the gates below (scheme registry,
-# checkpoint resume, traced-mesh, KV and lifetime determinism and
-# schema, the three perf gates), then sweeps fig6, mesh, kvserve and
-# lifetime — enough to catch crashes, sweep-task failures,
-# nondeterminism, and schema regressions without paying for
-# paper-fidelity statistics. Must come before the defaults below so the
-# smoke budget wins unless the caller overrode it.
+# tiny instruction budget it runs the three perf gates below, then
+# sweeps fig6, mesh, kvserve and lifetime — enough to catch crashes,
+# sweep-task failures and perf regressions without paying for
+# paper-fidelity statistics. Byte-identity across job counts, schemas
+# and checkpoint resume are ctest's Figures.* cases. Must come before
+# the defaults below so the smoke budget wins unless the caller
+# overrode it.
 SMOKE_ARGS=()
 SMOKE=0
 for arg in "$@"; do
@@ -59,40 +59,7 @@ if [ ${#ARGS[@]} -eq 0 ] && [ ${#SMOKE_ARGS[@]} -gt 0 ]; then
 fi
 
 if [ "$SMOKE" = 1 ]; then
-    # The scheme list is owned by one registry (sim/scheme.{hh,cc});
-    # every enumerating surface (morc_check, the lifetime figure, the
-    # design-space arena, this script) reads it through the binaries.
-    # A scheme missing from --list-schemes means a driver grew its own
-    # private list again.
-    for s in uncompressed morc touche; do
-        "$SWEEP" --list-schemes | grep -q "^$s " || {
-            echo "error: scheme '$s' missing from the shared registry" >&2
-            exit 1
-        }
-    done
-    echo "smoke registry OK: $("$SWEEP" --list-schemes | wc -l) schemes"
-
-    # ...and the checkpoint path: the same figure swept twice against
-    # one --checkpoint-dir must serve the second run from the journal
-    # ("resuming" on stderr) and emit byte-identical JSON.
-    CKPT=$(mktemp -d /tmp/morc_smoke_ckpt.XXXXXX)
-    "$SWEEP" --jobs "$JOBS" --checkpoint-dir "$CKPT" \
-        --out "$CKPT/first" fig6 > /dev/null
-    "$SWEEP" --jobs "$JOBS" --checkpoint-dir "$CKPT" \
-        --out "$CKPT/second" fig6 > /dev/null 2> "$CKPT/resume.log"
-    grep -q 'resuming' "$CKPT/resume.log"
-    cmp "$CKPT/first/fig6.json" "$CKPT/second/fig6.json"
-    echo "smoke checkpoint OK: resumed report is byte-identical"
-    rm -rf "$CKPT"
-
-    # ...and the jobs-independence gates (tools/smoke_gates.py): the
-    # traced mesh (jobs 1 vs 8, report and Chrome trace, log_flush
-    # events, series sections), kvserve (jobs 1 vs all threads,
-    # percentiles) and lifetime (jobs 1 vs 8, every scheme's lifetime
-    # section) must write byte-identical schema-v5 reports.
-    python3 tools/smoke_gates.py "$SWEEP" "$JOBS"
-
-    # ...and the perf gates: one bench_speed run, then the LBE hot path
+    # The perf gates: one bench_speed run, then the LBE hot path
     # (the simulator's hottest loop), the KV service and the Touché
     # cache, each against its checked-in baseline. perf_gate.py
     # normalizes by the untouched FPC codec to cancel host speed. The

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <system_error>
 #include <vector>
 
 namespace morc {
@@ -121,6 +123,18 @@ Journal::load()
             break;
         records_[rec.key] = std::move(rec);
         pos += kEntryHeaderBytes + static_cast<std::size_t>(len) + 4;
+    }
+    // Appends must follow the last intact entry: written after a
+    // damaged one, no later load would reach them.
+    std::error_code ec;
+    if (pos < buf.size())
+        std::filesystem::resize_file(path_, pos, ec);
+    if (ec && !writeFailed_) {
+        writeFailed_ = true; // warn once; the sweep itself continues
+        std::fprintf(stderr,
+                     "[checkpoint] cannot cut the damaged tail of "
+                     "journal %s (%s); this run will not be resumable\n",
+                     path_.c_str(), ec.message().c_str());
     }
     return records_.size();
 }

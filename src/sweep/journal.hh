@@ -16,10 +16,10 @@
  *
  * Each entry is self-checking, so a torn tail (the process died
  * mid-append) or a corrupt entry simply ends recovery there: every
- * entry before it is kept, the damaged suffix is ignored, and the
- * tasks it covered are re-simulated. Appends are serialized by a
- * mutex and flushed per record, so concurrent sweep workers can
- * journal safely.
+ * entry before it is kept, the damaged suffix is cut from the file so
+ * that new entries follow the intact ones, and the tasks it covered
+ * are re-simulated. Appends are serialized by a mutex and flushed per
+ * record, so concurrent sweep workers can journal safely.
  */
 
 #ifndef MORC_SWEEP_JOURNAL_HH
@@ -53,8 +53,10 @@ class Journal
 
     /** Recover intact records from an existing journal file (missing
      *  file = empty journal). A torn or corrupt entry ends recovery:
-     *  everything before it is kept, the damaged tail discarded.
-     *  @return Number of records recovered. */
+     *  everything before it is kept, and the file is cut back to the
+     *  end of the last intact entry, so later appends stay reachable.
+     *  A failed cut is reported once on stderr, as append() reports a
+     *  failed write. @return Number of records recovered. */
     std::size_t load();
 
     /** Journaled record for @p key, or nullptr. The pointer stays
@@ -78,7 +80,8 @@ class Journal
     std::unordered_map<std::string, stats::RunRecord> records_
         MORC_GUARDED_BY(mu_);
     // Journal file handle is opened per append under mu_; the
-    // warn-once latch shares its critical section.
+    // warn-once latch (a failed append or tail cut) shares its
+    // critical section.
     bool writeFailed_ MORC_GUARDED_BY(mu_) = false;
 };
 

@@ -4,10 +4,11 @@
  *
  * A sweep is a vector of independent tasks, each identified by a stable
  * string key (e.g. "fig6/gcc/MORC") and producing one stats::RunRecord.
- * The engine fans tasks out over a work-stealing pool and returns the
- * records in task order, so the assembled stats::Report — and its JSON
- * serialization — is bit-identical regardless of thread count or the
- * order in which workers happen to finish.
+ * The engine's workers claim tasks in task order from one shared
+ * counter and return the records in task order, so the assembled
+ * stats::Report — and its JSON serialization — is bit-identical
+ * regardless of thread count or the order in which workers happen to
+ * finish.
  *
  * Any randomness a task needs must come from the seed the engine hands
  * it, which is derived purely from the task key (stableSeed). Identical
@@ -55,17 +56,19 @@ struct Task
 class Engine
 {
   public:
-    /** @param jobs Worker threads; 0 means hardware_concurrency. */
+    /** @param jobs Worker threads, the calling thread among them;
+     *  0 means hardware_concurrency. A run starts no more workers than
+     *  it has tasks. */
     explicit Engine(unsigned jobs = 0) : jobs_(jobs) {}
 
     /**
-     * Run every task and return records in task order. A throwing task
-     * aborts the sweep: remaining tasks are cancelled and the first
-     * failure (in task order) is rethrown wrapped with its key.
+     * Run every task and return records in task order. Tasks start in
+     * task order at every job count. A throwing task aborts the sweep:
+     * once it has thrown no further task starts, the tasks already
+     * running finish, and the first failure in task order is rethrown
+     * wrapped with its key.
      */
     std::vector<stats::RunRecord> run(const std::vector<Task> &tasks) const;
-
-    unsigned jobs() const { return jobs_; }
 
   private:
     unsigned jobs_;

@@ -1,7 +1,8 @@
 /**
  * @file
- * Annotated synchronization primitives: the only sanctioned doorway to
- * raw std::mutex in this codebase.
+ * Annotated synchronization primitives and the one thread spawn: the
+ * only sanctioned doorway to raw std::mutex and std::thread in this
+ * codebase.
  *
  * Every lock in src/ goes through morc::sync so that Clang's
  * -Wthread-safety capability analysis can prove, at compile time, that
@@ -12,14 +13,12 @@
  *
  * Conventions (DESIGN.md §12):
  *   - shared mutable state is a member annotated MORC_GUARDED_BY(mu_),
- *   - functions that expect the caller to hold a lock say
- *     MORC_REQUIRES(mu_); functions that must NOT be entered with it
- *     held say MORC_EXCLUDES(mu_),
- *   - scope-based locking uses LockGuard / UniqueLock (both
- *     MORC_SCOPED_CAPABILITY), never manual lock()/unlock() pairs,
+ *   - scope-based locking uses LockGuard (MORC_SCOPED_CAPABILITY),
+ *     never manual lock()/unlock() pairs,
+ *   - threads are started only by runOnThreads(), which joins them
+ *     before it returns,
  *   - `// morc-analyze: allow(raw-sync)` is the escape hatch for the
- *     rare raw primitive (none today outside this header and the
- *     worker-thread container in sweep/pool.hh).
+ *     rare raw primitive (none today outside this header).
  *
  * The raw-sync ban itself is enforced by tools/morc_analyze.py, so a
  * std::mutex added anywhere else fails the `analyze` gate even under
@@ -29,9 +28,11 @@
 #ifndef MORC_UTIL_SYNC_HH
 #define MORC_UTIL_SYNC_HH
 
-#include <condition_variable>
+#include <cstddef>
+#include <functional>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 // ---------------------------------------------------------------------
 // Clang thread-safety attribute macros (no-ops elsewhere).
@@ -46,16 +47,8 @@
 #define MORC_CAPABILITY(x) MORC_TS_ATTR(capability(x))
 #define MORC_SCOPED_CAPABILITY MORC_TS_ATTR(scoped_lockable)
 #define MORC_GUARDED_BY(x) MORC_TS_ATTR(guarded_by(x))
-#define MORC_PT_GUARDED_BY(x) MORC_TS_ATTR(pt_guarded_by(x))
-#define MORC_REQUIRES(...) MORC_TS_ATTR(requires_capability(__VA_ARGS__))
 #define MORC_ACQUIRE(...) MORC_TS_ATTR(acquire_capability(__VA_ARGS__))
 #define MORC_RELEASE(...) MORC_TS_ATTR(release_capability(__VA_ARGS__))
-#define MORC_TRY_ACQUIRE(...) \
-    MORC_TS_ATTR(try_acquire_capability(__VA_ARGS__))
-#define MORC_EXCLUDES(...) MORC_TS_ATTR(locks_excluded(__VA_ARGS__))
-#define MORC_RETURN_CAPABILITY(x) MORC_TS_ATTR(lock_returned(x))
-#define MORC_NO_THREAD_SAFETY_ANALYSIS \
-    MORC_TS_ATTR(no_thread_safety_analysis)
 
 namespace morc {
 namespace sync {
@@ -70,7 +63,6 @@ class MORC_CAPABILITY("mutex") Mutex
 
     void lock() MORC_ACQUIRE() { mu_.lock(); }
     void unlock() MORC_RELEASE() { mu_.unlock(); }
-    bool try_lock() MORC_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   private:
     std::mutex mu_;
@@ -93,54 +85,31 @@ class MORC_SCOPED_CAPABILITY LockGuard
     Mutex &mu_;
 };
 
-/**
- * Re-lockable scope lock (the BasicLockable std::condition_variable_any
- * waits on). Constructed locked; wait functions may unlock()/lock() it.
- */
-class MORC_SCOPED_CAPABILITY UniqueLock
-{
-  public:
-    explicit UniqueLock(Mutex &mu) MORC_ACQUIRE(mu) : mu_(mu)
-    {
-        mu_.lock();
-        held_ = true;
-    }
-    ~UniqueLock() MORC_RELEASE()
-    {
-        if (held_)
-            mu_.unlock();
-    }
-
-    void
-    lock() MORC_ACQUIRE()
-    {
-        mu_.lock();
-        held_ = true;
-    }
-    void
-    unlock() MORC_RELEASE()
-    {
-        mu_.unlock();
-        held_ = false;
-    }
-
-    UniqueLock(const UniqueLock &) = delete;
-    UniqueLock &operator=(const UniqueLock &) = delete;
-
-  private:
-    Mutex &mu_;
-    bool held_ = false;
-};
-
-/** Condition variable usable with UniqueLock (and a stop_token). */
-using CondVarAny = std::condition_variable_any;
-
 /** std::thread::hardware_concurrency without naming std::thread at the
  *  call site (keeps the raw-sync ban grep-clean outside this header). */
 inline unsigned
 hardwareConcurrency()
 {
     return std::thread::hardware_concurrency();
+}
+
+/**
+ * Call @p body once on each of @p threads threads — the calling thread
+ * and threads - 1 new ones — and return when every call has returned
+ * (none for threads = 0). @p body must not throw: an exception that
+ * leaves it on a new thread ends the program.
+ */
+template <typename F>
+void
+runOnThreads(std::size_t threads, const F &body)
+{
+    if (threads == 0)
+        return;
+    std::vector<std::jthread> helpers; // joined on every exit path
+    helpers.reserve(threads - 1);
+    for (std::size_t i = 1; i < threads; i++)
+        helpers.emplace_back(std::cref(body));
+    body();
 }
 
 } // namespace sync

@@ -2,9 +2,10 @@
  * @file
  * Tests for the crash-safe sweep journal: RunRecord serialization
  * round-trips bit-exactly (doubles travel as IEEE-754 bit patterns),
- * recovery keeps every intact entry and discards a torn or corrupt
- * tail, and a "resumed" sweep that mixes journaled and fresh records
- * reproduces the original report byte for byte.
+ * recovery keeps every intact entry and cuts a torn or corrupt tail so
+ * that later appends are recovered, and a "resumed" sweep that mixes
+ * journaled and fresh records reproduces the original report byte for
+ * byte.
  */
 
 #include <gtest/gtest.h>
@@ -155,6 +156,14 @@ TEST(Journal, TornTailKeepsEarlierEntries)
     EXPECT_NE(j.lookup("a"), nullptr);
     EXPECT_NE(j.lookup("b"), nullptr);
     EXPECT_EQ(j.lookup("c"), nullptr); // torn entry re-simulated
+    // The load cut the torn bytes, so the re-simulated entry lands
+    // where the next load reads it.
+    j.append(makeRecord("c", 3.0));
+    Journal again(path);
+    EXPECT_EQ(again.load(), 3u);
+    ASSERT_NE(again.lookup("c"), nullptr);
+    EXPECT_EQ(recordBytes(*again.lookup("c")),
+              recordBytes(makeRecord("c", 3.0)));
     std::remove(path.c_str());
 }
 
@@ -185,6 +194,11 @@ TEST(Journal, CorruptEntryEndsRecoveryThere)
     Journal j(path);
     EXPECT_EQ(j.load(), 1u); // only "a" survives; suffix discarded
     EXPECT_NE(j.lookup("a"), nullptr);
+    j.append(makeRecord("b", 2.0));
+    Journal again(path);
+    EXPECT_EQ(again.load(), 2u);
+    EXPECT_NE(again.lookup("b"), nullptr);
+    EXPECT_EQ(again.lookup("c"), nullptr);
     std::remove(path.c_str());
 }
 

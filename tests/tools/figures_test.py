@@ -11,18 +11,26 @@ labels, metrics or presenter fails here. With MORC_UPDATE_GOLDEN=1 a
 digest case rewrites its list instead of comparing.
 
 Cases:
-  ReportDigests     `--jobs 4 all`: each report, stdout, --list and
-                    --list-schemes against figures_report.sha256.
-  TracedMesh        `--telemetry-epoch 100000 --trace-out T mesh`:
-                    mesh.json and T against figures_traced_mesh.sha256.
-  CheckpointResume  `fig7 fig14` against one --checkpoint-dir: the
-                    second run resumes from the journal, a third with
-                    the journals removed restores the warm snapshots,
-                    and all three match the plain report digests. The
-                    directory then holds 56 warm snapshots, and reruns
-                    at another MORC_BENCH_INSTR, with --telemetry-epoch
-                    and with --trace-out neither resume nor reject and
-                    match a sweep without the directory.
+  ReportDigests     `all` at --jobs 4 and at --jobs 1: each report,
+                    stdout, --list and --list-schemes against
+                    figures_report.sha256.
+  TracedMesh        `--telemetry-epoch 100000 --trace-out T mesh` at
+                    --jobs 4 and at --jobs 1: mesh.json and T against
+                    figures_traced_mesh.sha256.
+  CheckpointResume  `fig7 fig14` against one --checkpoint-dir, five
+                    times: a first run; a run after each journal was
+                    torn inside an entry and every other warm snapshot
+                    deleted, as a killed run leaves them, which resumes
+                    part of each figure; a run that resumes all of it;
+                    a run with the journals removed, which restores the
+                    warm snapshots and rebuilds any still missing; and
+                    a run with the journals removed and every warm
+                    snapshot corrupted, which rejects them. All five
+                    match the plain report digests. The directory then
+                    holds 56 warm snapshots, and reruns at another
+                    MORC_BENCH_INSTR, with --telemetry-epoch and with
+                    --trace-out neither resume nor reject and match a
+                    sweep without the directory.
   TracedFig7Fig14   `--telemetry-epoch 1000 --trace-out T fig7 fig14`:
                     every run carries a series section and a trace.
   RejectsBadBudget  `table1` exits 1 naming the variable, before any
@@ -33,6 +41,7 @@ Cases:
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -65,9 +74,10 @@ def read_digests(path):
     return digests
 
 
-def check_digests(path, fresh):
-    """Compare {name: digest} with the list at @path, or rewrite it."""
-    if os.environ.get("MORC_UPDATE_GOLDEN"):
+def check_digests(path, fresh, what, update):
+    """Compare {name: digest} from the run @what with the list at
+    @path, or rewrite the list when @update."""
+    if update:
         with open(path, "w") as f:
             for name, digest in fresh.items():
                 f.write(f"{digest}  {name}\n")
@@ -80,11 +90,11 @@ def check_digests(path, fresh):
         print(f"{n}: got {fresh.get(n)}, pinned {want.get(n)}",
               file=sys.stderr)
     if bad:
-        print(f"{len(bad)} digests differ from {path}; if the change is "
-              "intentional, regenerate with MORC_UPDATE_GOLDEN=1",
-              file=sys.stderr)
+        print(f"{what}: {len(bad)} digests differ from {path}; if the "
+              "change is intentional, regenerate with "
+              "MORC_UPDATE_GOLDEN=1", file=sys.stderr)
         return 1
-    print(f"{len(fresh)} digests match {os.path.basename(path)}")
+    print(f"{what}: {len(fresh)} digests match {os.path.basename(path)}")
     return 0
 
 
@@ -93,27 +103,43 @@ def file_digest(path):
         return sha256(f.read())
 
 
+# Both digest cases run at each of these job counts against one pinned
+# list, so the pins also hold the outputs to be jobs-independent. An
+# update rewrites the list from the first and checks the rest against it.
+JOBS = ("4", "1")
+UPDATE = bool(os.environ.get("MORC_UPDATE_GOLDEN"))
+
+
 def report_digests(binary, golden, tmp):
-    out = os.path.join(tmp, "out")
-    proc = sweep(binary, ["--jobs", "4", "--out", out, "all"])
-    fresh = {name: file_digest(os.path.join(out, name))
-             for name in sorted(os.listdir(out))}
-    fresh["stdout"] = sha256(proc.stdout)
-    fresh["list"] = sha256(sweep(binary, ["--list"]).stdout)
-    fresh["list-schemes"] = sha256(sweep(binary, ["--list-schemes"]).stdout)
-    return check_digests(os.path.join(golden, "figures_report.sha256"),
-                         fresh)
+    failures = 0
+    for jobs in JOBS:
+        out = os.path.join(tmp, "jobs" + jobs)
+        proc = sweep(binary, ["--jobs", jobs, "--out", out, "all"])
+        fresh = {name: file_digest(os.path.join(out, name))
+                 for name in sorted(os.listdir(out))}
+        fresh["stdout"] = sha256(proc.stdout)
+        fresh["list"] = sha256(sweep(binary, ["--list"]).stdout)
+        fresh["list-schemes"] = sha256(
+            sweep(binary, ["--list-schemes"]).stdout)
+        failures += check_digests(
+            os.path.join(golden, "figures_report.sha256"), fresh,
+            f"--jobs {jobs}", UPDATE and jobs == JOBS[0])
+    return 1 if failures else 0
 
 
 def traced_mesh(binary, golden, tmp):
-    out = os.path.join(tmp, "out")
-    trace = os.path.join(tmp, "trace.json")
-    sweep(binary, ["--jobs", "4", "--telemetry-epoch", "100000",
-                   "--trace-out", trace, "--out", out, "mesh"])
-    fresh = {"mesh.json": file_digest(os.path.join(out, "mesh.json")),
-             "trace.json": file_digest(trace)}
-    return check_digests(
-        os.path.join(golden, "figures_traced_mesh.sha256"), fresh)
+    failures = 0
+    for jobs in JOBS:
+        out = os.path.join(tmp, "jobs" + jobs)
+        trace = os.path.join(tmp, f"trace{jobs}.json")
+        sweep(binary, ["--jobs", jobs, "--telemetry-epoch", "100000",
+                       "--trace-out", trace, "--out", out, "mesh"])
+        fresh = {"mesh.json": file_digest(os.path.join(out, "mesh.json")),
+                 "trace.json": file_digest(trace)}
+        failures += check_digests(
+            os.path.join(golden, "figures_traced_mesh.sha256"), fresh,
+            f"--jobs {jobs}", UPDATE and jobs == JOBS[0])
+    return 1 if failures else 0
 
 
 # Reruns against a used --checkpoint-dir under settings that change a
@@ -125,9 +151,53 @@ RERUNS = [
 ]
 
 
+RESUMING = re.compile(r"\] (\w+): resuming, (\d+)/(\d+) tasks")
+
+
+def entry_ends(path):
+    """Offsets at which the journal entries at @path end (each is magic
+    "JREC", a u64 payload length, the payload and a u32 CRC)."""
+    with open(path, "rb") as f:
+        data = f.read()
+    ends, pos = [], 0
+    while pos + 12 <= len(data):
+        pos += 12 + int.from_bytes(data[pos + 4:pos + 12], "little") + 4
+        ends.append(pos)
+    return ends
+
+
 def checkpoint_resume(binary, golden, tmp):
     pinned = read_digests(os.path.join(golden, "figures_report.sha256"))
     ckpt = os.path.join(tmp, "ckpt")
+    warm_dir = os.path.join(ckpt, "warm")
+
+    def journals():
+        return [os.path.join(ckpt, f) for f in sorted(os.listdir(ckpt))
+                if f.endswith(".journal")]
+
+    def kill():
+        """Leave what a run killed mid-sweep leaves: each journal cut
+        inside an entry, and every other warm snapshot not written."""
+        for path in journals():
+            cut = os.path.getsize(path) // 2
+            if cut in entry_ends(path):
+                cut -= 1
+            os.truncate(path, cut)
+        for f in sorted(os.listdir(warm_dir))[::2]:
+            os.remove(os.path.join(warm_dir, f))
+
+    def drop_journals():
+        for path in journals():
+            os.remove(path)
+
+    def corrupt_warm():
+        drop_journals()
+        for f in os.listdir(warm_dir):
+            with open(os.path.join(warm_dir, f), "r+b") as snap:
+                snap.seek(100)
+                byte = snap.read(1)[0]
+                snap.seek(100)
+                snap.write(bytes([byte ^ 0xff]))
 
     def run(name, args=(), env=None, checkpoint=True):
         """Sweep fig7 and fig14 into tmp/name: (stderr, output digests)."""
@@ -144,20 +214,34 @@ def checkpoint_resume(binary, golden, tmp):
             digests["trace"] = file_digest(trace)
         return proc.stderr.decode(errors="replace"), digests
 
+    # Each run: what is done to the directory before it, how many of
+    # each figure's 28 tasks it must resume from the journal ("none",
+    # "some" or "all"), and whether it must reject a warm snapshot.
+    steps = [
+        ("first", None, "none", False),
+        ("killed", kill, "some", False),
+        ("resumed", None, "all", False),
+        ("warm", drop_journals, "none", False),
+        ("corrupt", corrupt_warm, "none", True),
+    ]
     failures = 0
-    for name in ("first", "resumed", "warm"):
-        if name == "warm":
-            for f in os.listdir(ckpt):
-                if f.endswith(".journal"):
-                    os.remove(os.path.join(ckpt, f))
+    for name, prepare, want_resumed, want_rejected in steps:
+        if prepare:
+            prepare()
         log, digests = run(name)
-        if (name == "resumed") != ("resuming" in log):
-            want = "lacks" if name == "resumed" else "has"
-            print(f"{name} run: stderr {want} 'resuming':\n{log}",
-                  file=sys.stderr)
-            failures += 1
-        if "rejected" in log:
-            print(f"{name} run rejected a warm snapshot:\n{log}",
+        resumed = {m[1]: (int(m[2]), int(m[3]))
+                   for m in RESUMING.finditer(log)}
+        for fig in ("fig7", "fig14"):
+            done, total = resumed.get(fig, (0, 28))
+            got = ("none" if done == 0 else
+                   "all" if done == total else "some")
+            if got != want_resumed:
+                print(f"{name} run: {fig} resumed {done}/{total} tasks, "
+                      f"want {want_resumed}:\n{log}", file=sys.stderr)
+                failures += 1
+        if ("rejected" in log) != want_rejected:
+            want = "lacks" if want_rejected else "has"
+            print(f"{name} run: stderr {want} 'rejected':\n{log}",
                   file=sys.stderr)
             failures += 1
         for f, digest in digests.items():
@@ -167,7 +251,7 @@ def checkpoint_resume(binary, golden, tmp):
                 failures += 1
     # fig14 attaches two histograms to fig7's 28 points, so the two
     # figures must not share a warm snapshot.
-    warm = len(os.listdir(os.path.join(ckpt, "warm")))
+    warm = len(os.listdir(warm_dir))
     if warm != 56:
         print(f"{warm} warm snapshots, want 28 for fig7 and 28 for "
               f"fig14", file=sys.stderr)
@@ -186,9 +270,10 @@ def checkpoint_resume(binary, golden, tmp):
                       f"--checkpoint-dir", file=sys.stderr)
                 failures += 1
     if failures == 0:
-        print(f"resumed and warm-restored reports match the plain "
-              f"digests ({warm} warm snapshots); {len(RERUNS)} reruns "
-              f"under other settings match fresh sweeps")
+        print(f"{len(steps)} checkpointed runs (killed, resumed, "
+              f"warm-restored, rejected) match the plain digests ({warm} "
+              f"warm snapshots); {len(RERUNS)} reruns under other "
+              f"settings match fresh sweeps")
     return 1 if failures else 0
 
 

@@ -12,8 +12,8 @@ hazard classes lint-time errors:
   nondeterminism-source       ambient randomness, host-clock reads, and
                               pointer-keyed ordered containers in src/
   raw-sync                    std::mutex/std::thread & friends outside
-                              src/util/sync.hh and src/sweep/pool.hh
-                              (use the annotated morc::sync wrappers)
+                              src/util/sync.hh (use the annotated
+                              morc::sync wrappers)
   snapshot-completeness       classes with save/restore methods or a
                               snapshot walk whose data members are
                               mentioned in none of them (the "added a
@@ -69,7 +69,7 @@ ESCAPE_FN_RE = re.compile(
 ESCAPE_DIRS = ("src/stats/", "src/sweep/", "src/snapshot/", "src/check/")
 
 # Files allowed to name raw synchronization primitives.
-RAW_SYNC_ALLOWED = ("src/util/sync.hh", "src/sweep/pool.hh")
+RAW_SYNC_ALLOWED = ("src/util/sync.hh",)
 
 SAVE_METHODS = {"save", "saveState"}
 RESTORE_METHODS = {"restore", "restoreState", "load"}
