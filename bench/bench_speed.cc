@@ -9,11 +9,9 @@
  * lookups and fills through the signature-tag path (superblock match
  * -> signature match -> decompress-and-verify).
  *
- * tools/perf_gate.py gates BM_Lbe*, BM_Kv* and BM_Touche* against
- * bench/baselines/BENCH_compress.json, BENCH_kv.json and
- * BENCH_touche.json. It first normalizes every time by BM_FpcLine, the
- * machine-speed reference: the FPC codec is untouched by the hot paths
- * the gates watch, so the ratio tracks regressions, not host speed.
+ * tools/perf_gate.py gates every benchmark here against
+ * bench/baselines/bench_speed.json, so a new benchmark must be
+ * baselined before the gate passes.
  */
 
 #include <benchmark/benchmark.h>

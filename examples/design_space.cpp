@@ -10,7 +10,7 @@
  * Exploration is expressed as a sweep: every design point is an
  * independent sweep::Task, run by the sweep engine's workers, and the
  * tables are printed from the collected records — the same pattern the
- * bench figures use (bench/common/figures.cc).
+ * bench figures use (bench/morc_sweep.cc).
  *
  * Usage: design_space [workload] [jobs] (default: gcc, all cores).
  */

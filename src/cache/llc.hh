@@ -73,12 +73,16 @@ struct FillResult
  * members, the snapshot walk, +=, - and the base Llc::registerProbes
  * are all generated from this table.
  *
- * logFlushes counts whole-log evictions and lmtConflictEvicts LMT
- * conflict evictions (both MORC/MORCMerged only, zero elsewhere). The
- * cell counters are NVM wear charged from the actual emitted
- * bitstreams (see energy/lifetime.hh): bits physically programmed into
- * the data array, and cells flipped relative to the frame's prior
- * image.
+ * Scheme counters are rows too, so warm-up clears them and a banked
+ * director sums them; each reads zero outside its scheme, which
+ * publishes it. MORC: logFlushes (whole-log evictions), logReuses
+ * (all-invalid logs reused instead), lmtConflictEvicts, and
+ * lmtAliasedMisses (a valid LMT entry, but the tag missed). SC2:
+ * retrainings. Touché: sigFalsePositives and sigEvictions (signature
+ * collisions on read and on insert), recompactions (a rewritten line
+ * grew). The cell counters are NVM wear charged from the emitted
+ * bitstreams (energy/lifetime.hh): bits programmed into the data
+ * array, and cells flipped against the frame's prior image.
  */
 #define MORC_LLC_STATS(X)                                              \
     X(reads, "reads")                                                  \
@@ -89,9 +93,15 @@ struct FillResult
     X(linesDecompressed, nullptr)                                      \
     X(bytesDecompressed, "bytes_decompressed")                         \
     X(logFlushes, nullptr)                                             \
+    X(logReuses, nullptr)                                              \
     X(lmtConflictEvicts, nullptr)                                      \
+    X(lmtAliasedMisses, nullptr)                                       \
     X(cellBitsWritten, "cell_bits_written")                            \
-    X(cellBitFlips, "cell_bit_flips")
+    X(cellBitFlips, "cell_bit_flips")                                  \
+    X(retrainings, nullptr)                                            \
+    X(sigFalsePositives, nullptr)                                      \
+    X(sigEvictions, nullptr)                                           \
+    X(recompactions, nullptr)
 
 /** Aggregate counters every model maintains. */
 struct LlcStats
@@ -99,6 +109,8 @@ struct LlcStats
 #define MORC_LLC_MEMBER(field, probe) std::uint64_t field = 0;
     MORC_LLC_STATS(MORC_LLC_MEMBER)
 #undef MORC_LLC_MEMBER
+
+    bool operator==(const LlcStats &) const = default;
 
     void
     clear()

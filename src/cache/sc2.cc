@@ -67,7 +67,7 @@ Sc2Cache::maybeRetrain()
         sampler_.decay();
         table_ = sampler_.train();
         trainFreqs_ = sampler_.freqs();
-        retrainings_++;
+        stats_.retrainings++;
         fillsSinceTrain_ = 0;
     }
 }
@@ -254,7 +254,6 @@ Sc2Cache::walk(Self &self, IO &io)
         io.u64(self.valid_);
         io.boolean(self.trained_);
         io.u64(self.fillsSinceTrain_);
-        io.u64(self.retrainings_);
         io.part(self.stats_);
         io.part(self.wear_);
         io.part(self.sampler_);

@@ -56,7 +56,6 @@ class Sc2Cache : public Llc
 
     /** Exposed for tests. */
     bool trained() const { return trained_; }
-    std::uint64_t retrainings() const { return retrainings_; }
 
     /** Adds dictionary training state on top of the base catalog. */
     void
@@ -67,7 +66,7 @@ class Sc2Cache : public Llc
         reg.gauge(prefix + ".trained",
                   [this](Cycles) { return trained_ ? 1.0 : 0.0; });
         reg.counter(prefix + ".retrainings", [this](Cycles) {
-            return static_cast<double>(retrainings_);
+            return static_cast<double>(stats_.retrainings);
         });
     }
 
@@ -113,7 +112,6 @@ class Sc2Cache : public Llc
     std::unordered_map<std::uint32_t, std::uint64_t> trainFreqs_;
     bool trained_ = false;
     std::uint64_t fillsSinceTrain_ = 0;
-    std::uint64_t retrainings_ = 0;
 };
 
 } // namespace cache

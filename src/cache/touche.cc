@@ -161,7 +161,7 @@ ToucheCache::read(Addr addr)
             if (slot.lineNumber != line_number) {
                 // Signature collision: the decompression was wasted
                 // and the access is a miss.
-                sigFalsePositives_++;
+                stats_.sigFalsePositives++;
                 return r;
             }
             stats_.readHits++;
@@ -239,10 +239,10 @@ ToucheCache::insert(Addr addr, const CacheLine &data, bool dirty)
             target = &slot;
             freedBits = slot.costBits;
             if (cost > slot.costBits)
-                recompactions_++;
+                stats_.recompactions++;
             dirty |= slot.dirty;
         } else if (slot.sig == sig) {
-            sigEvictions_++;
+            stats_.sigEvictions++;
             evictSlot(*block, i, result);
         }
     }
@@ -504,9 +504,6 @@ ToucheCache::walk(Self &self, IO &io)
         io.expect(lines_per_sb, geometry);
         io.u64(self.useClock_);
         io.u64(self.valid_);
-        io.u64(self.sigFalsePositives_);
-        io.u64(self.sigEvictions_);
-        io.u64(self.recompactions_);
         io.part(self.stats_);
         io.part(self.wear_);
         // Exactly `ways` superblocks per set: insert's LRU victim scan

@@ -69,11 +69,6 @@ class ToucheCache : public Llc
     void saveState(snap::Serializer &s) const override;
     void restoreState(snap::Deserializer &d) override;
 
-    /** Exposed for tests: signature-collision traffic. */
-    std::uint64_t sigFalsePositives() const { return sigFalsePositives_; }
-    std::uint64_t sigEvictions() const { return sigEvictions_; }
-    std::uint64_t recompactions() const { return recompactions_; }
-
     /** Adds the signature/collision catalog on top of the base set. */
     void
     registerProbes(telemetry::Registry &reg,
@@ -81,13 +76,13 @@ class ToucheCache : public Llc
     {
         Llc::registerProbes(reg, prefix);
         reg.counter(prefix + ".sig_false_positives", [this](Cycles) {
-            return static_cast<double>(sigFalsePositives_);
+            return static_cast<double>(stats_.sigFalsePositives);
         });
         reg.counter(prefix + ".sig_evictions", [this](Cycles) {
-            return static_cast<double>(sigEvictions_);
+            return static_cast<double>(stats_.sigEvictions);
         });
         reg.counter(prefix + ".recompactions", [this](Cycles) {
-            return static_cast<double>(recompactions_);
+            return static_cast<double>(stats_.recompactions);
         });
     }
 
@@ -157,9 +152,6 @@ class ToucheCache : public Llc
     std::vector<Set> sets_;
     std::uint64_t useClock_ = 0;
     std::uint64_t valid_ = 0;
-    std::uint64_t sigFalsePositives_ = 0;
-    std::uint64_t sigEvictions_ = 0;
-    std::uint64_t recompactions_ = 0;
 };
 
 } // namespace cache

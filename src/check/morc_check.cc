@@ -52,12 +52,12 @@
  *
  * --events attaches the telemetry event tracer (telemetry/tracer.hh)
  * to the cache under test and cross-checks it against the counters the
- * same run maintains: the traced log_flush / lmt_conflict_evict event
- * counts must equal LlcStats::logFlushes / lmtConflictEvicts, no event
- * may be dropped (the buffer is sized to the stream), and stamps must
- * be monotone. This pins the tracer to the model the auditor already
- * trusts — a tracer that lies about flushes fails here, not in a
- * Perfetto screenshot.
+ * same run maintains: the traced log_flush, log_reuse and
+ * lmt_conflict_evict event counts must equal LlcStats::logFlushes,
+ * logReuses and lmtConflictEvicts, no event may be dropped (the buffer
+ * is sized to the stream), and stamps must be monotone. This pins the
+ * tracer to the model the auditor already trusts — a tracer that lies
+ * about flushes fails here, not in a Perfetto screenshot.
  *
  * --kv swaps the bare-cache stream for the KV serving subsystem
  * (src/kv): a multi-tenant Zipf request stream drives generator ->
@@ -403,20 +403,22 @@ checkEvents(const std::string &scheme, const telemetry::Tracer &tracer,
                       tracer.dropped());
     const telemetry::TraceBuffer buf = tracer.snapshot();
     const cache::LlcStats &st = c.stats();
-    const std::uint64_t flushes =
-        buf.countKind(telemetry::EventKind::LogFlush);
-    if (flushes != st.logFlushes)
-        ok = diverged(scheme, ops,
-                      "tracer saw %" PRIu64
-                      " log_flush events but LlcStats counted %" PRIu64,
-                      flushes, st.logFlushes);
-    const std::uint64_t evicts =
-        buf.countKind(telemetry::EventKind::LmtConflictEvict);
-    if (evicts != st.lmtConflictEvicts)
-        ok = diverged(scheme, ops,
-                      "tracer saw %" PRIu64 " lmt_conflict_evict events "
-                      "but LlcStats counted %" PRIu64,
-                      evicts, st.lmtConflictEvicts);
+    const std::pair<telemetry::EventKind, std::uint64_t> counted[] = {
+        {telemetry::EventKind::LogFlush, st.logFlushes},
+        {telemetry::EventKind::LogReuse, st.logReuses},
+        {telemetry::EventKind::LmtConflictEvict, st.lmtConflictEvicts},
+    };
+    std::string seen;
+    for (const auto &[kind, count] : counted) {
+        const std::uint64_t events = buf.countKind(kind);
+        if (events != count)
+            ok = diverged(scheme, ops,
+                          "tracer saw %" PRIu64
+                          " %s events but LlcStats counted %" PRIu64,
+                          events, telemetry::eventName(kind), count);
+        seen += (seen.empty() ? "" : ", ") + std::to_string(events) +
+                " " + telemetry::eventName(kind);
+    }
     Cycles prev = 0;
     for (const auto &e : buf.events) {
         if (e.cycles < prev) {
@@ -429,10 +431,9 @@ checkEvents(const std::string &scheme, const telemetry::Tracer &tracer,
         prev = e.cycles;
     }
     if (ok)
-        std::printf("%-13s events: %" PRIu64 " recorded (%" PRIu64
-                    " log_flush, %" PRIu64
-                    " lmt_conflict_evict) consistent with counters\n",
-                    scheme.c_str(), tracer.recorded(), flushes, evicts);
+        std::printf("%-13s events: %" PRIu64
+                    " recorded (%s) consistent with counters\n",
+                    scheme.c_str(), tracer.recorded(), seen.c_str());
     return ok;
 }
 

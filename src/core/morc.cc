@@ -273,7 +273,7 @@ LogCache::rotateLog(unsigned active_slot, cache::FillResult &result)
         closedFifo_.erase(closedFifo_.begin() +
                           static_cast<std::ptrdiff_t>(k));
         if (!g.lines.empty()) {
-            logReuses_++;
+            stats_.logReuses++;
             if (tracer_) {
                 tracer_->record(telemetry::EventKind::LogReuse,
                                 traceTrack_, idx, g.lines.size());
@@ -399,7 +399,7 @@ LogCache::read(Addr addr)
         const Log &g = logs_[e.logIdx];
         r.extraLatency += static_cast<std::uint32_t>(
             divCeil(g.lines.size(), cfg_.tagsPerCycle));
-        lmtAliasedMisses_++;
+        stats_.lmtAliasedMisses++;
     }
     return r;
 }
@@ -643,7 +643,7 @@ LogCache::registerProbes(telemetry::Registry &reg,
     reg.counter(prefix + ".log_flushes",
                 [this](Cycles) { return double(stats_.logFlushes); });
     reg.counter(prefix + ".log_reuses",
-                [this](Cycles) { return double(logReuses_); });
+                [this](Cycles) { return double(stats_.logReuses); });
     reg.counter(prefix + ".lmt_conflict_evicts", [this](Cycles) {
         return double(stats_.lmtConflictEvicts);
     });
@@ -1026,8 +1026,6 @@ LogCache::walk(Self &self, IO &io)
         io.u64(self.valid_);
         io.u64(self.appended_);
         io.u64(self.seqCounter_);
-        io.u64(self.logReuses_);
-        io.u64(self.lmtAliasedMisses_);
         io.part(self.stats_);
         io.part(self.wear_);
 

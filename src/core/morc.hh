@@ -126,22 +126,6 @@ class LogCache : public cache::Llc
     /** Fraction of appended lines that are now invalid (Figure 12). */
     double invalidLineFraction() const;
 
-    /** Whole-log evictions (flushes) so far. */
-    std::uint64_t logFlushes() const { return stats_.logFlushes; }
-
-    /** All-invalid log reuses (flush avoided). */
-    std::uint64_t logReuses() const { return logReuses_; }
-
-    /** LMT conflict evictions. */
-    std::uint64_t
-    lmtConflictEvictions() const
-    {
-        return stats_.lmtConflictEvicts;
-    }
-
-    /** Reads that found a valid LMT entry but missed on the tag check. */
-    std::uint64_t lmtAliasedMisses() const { return lmtAliasedMisses_; }
-
     /** Logs holding at least one valid line. */
     std::uint64_t liveLogs() const;
 
@@ -326,10 +310,6 @@ class LogCache : public cache::Llc
     std::uint64_t valid_ = 0;
     std::uint64_t appended_ = 0;
     std::uint64_t seqCounter_ = 0;
-    // Flush and conflict-evict counts live in stats_ (LlcStats) so the
-    // banked director and the report see them like any other counter.
-    std::uint64_t logReuses_ = 0;
-    std::uint64_t lmtAliasedMisses_ = 0;
 };
 
 } // namespace core

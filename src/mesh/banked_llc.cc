@@ -150,6 +150,9 @@ BankedLlc::registerProbes(telemetry::Registry &reg,
     reg.counter(prefix + ".log_flushes", [this](Cycles) {
         return double(stats_.logFlushes);
     });
+    reg.counter(prefix + ".log_reuses", [this](Cycles) {
+        return double(stats_.logReuses);
+    });
     reg.counter(prefix + ".lmt_conflict_evicts", [this](Cycles) {
         return double(stats_.lmtConflictEvicts);
     });

@@ -44,7 +44,7 @@ struct SchemeInfo
 
 /**
  * The single authoritative scheme list, in enum order. Every
- * enumerating surface (morc_check --scheme=all, run_benches --smoke,
+ * enumerating surface (morc_check --scheme=all, morc_sweep --list-schemes,
  * design-space arenas, the lifetime figure) iterates this registry, so
  * a scheme added here appears everywhere at once.
  */

@@ -215,6 +215,17 @@ Serializer::writeFile(const std::string &path) const
     return atomicWriteFile(path, framed.data(), framed.size());
 }
 
+std::size_t
+frameSize(const std::uint8_t *data, std::size_t n)
+{
+    if (n < kHeaderBytes + kFooterBytes)
+        return 0;
+    const std::uint64_t len = readLe64(data + 16);
+    if (len > n - kHeaderBytes - kFooterBytes)
+        return 0;
+    return kHeaderBytes + static_cast<std::size_t>(len) + kFooterBytes;
+}
+
 // --- Deserializer -------------------------------------------------------
 
 Deserializer::Deserializer(std::vector<std::uint8_t> framed)

@@ -83,6 +83,12 @@ bool atomicWriteFile(const std::string &path, const void *data,
 /** Read a whole file into @p out; false (and empty @p out) on error. */
 bool readFile(const std::string &path, std::vector<std::uint8_t> &out);
 
+/** Bytes of the frame starting at @p data, from its header's payload
+ *  length (for walking concatenated frames); 0 when the @p n bytes
+ *  hold no header or end before that frame does. A Deserializer over
+ *  the span validates the rest. */
+std::size_t frameSize(const std::uint8_t *data, std::size_t n);
+
 /**
  * Append-only little-endian payload writer. Scalars are fixed-width;
  * strings and blobs carry a u64 length prefix; sections wrap a region

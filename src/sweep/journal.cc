@@ -1,38 +1,12 @@
 #include "sweep/journal.hh"
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <system_error>
 #include <vector>
 
 namespace morc {
 namespace sweep {
-
-namespace {
-
-constexpr char kEntryMagic[4] = {'J', 'R', 'E', 'C'};
-constexpr std::size_t kEntryHeaderBytes = 4 + 8;
-
-std::uint64_t
-getU64(const std::uint8_t *p)
-{
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < 8; i++)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint32_t
-getU32(const std::uint8_t *p)
-{
-    std::uint32_t v = 0;
-    for (unsigned i = 0; i < 4; i++)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-} // namespace
 
 namespace {
 
@@ -102,27 +76,15 @@ Journal::load()
     if (!snap::readFile(path_, buf))
         return 0; // no journal yet: fresh sweep
     std::size_t pos = 0;
-    while (pos + kEntryHeaderBytes + 4 <= buf.size()) {
-        if (std::memcmp(buf.data() + pos, kEntryMagic, 4) != 0)
-            break;
-        const std::uint64_t len = getU64(buf.data() + pos + 4);
-        if (len > buf.size() - pos - kEntryHeaderBytes - 4)
-            break; // torn tail: entry extends past EOF
-        const std::uint8_t *payload = buf.data() + pos + kEntryHeaderBytes;
-        const std::uint32_t crc =
-            getU32(payload + static_cast<std::size_t>(len));
-        if (snap::crc32(payload, static_cast<std::size_t>(len)) != crc)
-            break; // damaged entry: keep everything before it
-        // Re-frame the payload so the Deserializer's validation
-        // machinery (sections, bounds) applies unchanged.
-        snap::Serializer s;
-        s.bytes(payload, static_cast<std::size_t>(len));
-        snap::Deserializer d(s.frame());
+    while (const std::size_t n =
+               snap::frameSize(buf.data() + pos, buf.size() - pos)) {
+        const auto at = buf.begin() + static_cast<std::ptrdiff_t>(pos);
+        snap::Deserializer d({at, at + static_cast<std::ptrdiff_t>(n)});
         stats::RunRecord rec = loadRunRecord(d);
         if (!d.ok() || rec.key.empty())
-            break;
+            break; // damaged entry: keep everything before it
         records_[rec.key] = std::move(rec);
-        pos += kEntryHeaderBytes + static_cast<std::size_t>(len) + 4;
+        pos += n;
     }
     // Appends must follow the last intact entry: written after a
     // damaged one, no later load would reach them.
@@ -152,19 +114,7 @@ Journal::append(const stats::RunRecord &rec)
 {
     snap::Serializer s;
     saveRunRecord(s, rec);
-    const std::vector<std::uint8_t> &payload = s.payload();
-    const std::uint32_t crc = snap::crc32(payload.data(), payload.size());
-
-    std::vector<std::uint8_t> entry;
-    entry.reserve(kEntryHeaderBytes + payload.size() + 4);
-    for (char c : kEntryMagic)
-        entry.push_back(static_cast<std::uint8_t>(c));
-    const std::uint64_t len = payload.size();
-    for (unsigned i = 0; i < 8; i++)
-        entry.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
-    entry.insert(entry.end(), payload.begin(), payload.end());
-    for (unsigned i = 0; i < 4; i++)
-        entry.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
+    const std::vector<std::uint8_t> entry = s.frame();
 
     sync::LockGuard lock(mu_);
     records_[rec.key] = rec;

@@ -10,16 +10,15 @@
  * round-trip bit-exactly — doubles travel as IEEE-754 bit patterns —
  * the resumed report is byte-identical to an uninterrupted run's.
  *
- * File layout: a sequence of independent entries
- *
- *   magic "JREC" | u64 payload length | payload | u32 CRC32(payload)
- *
- * Each entry is self-checking, so a torn tail (the process died
- * mid-append) or a corrupt entry simply ends recovery there: every
- * entry before it is kept, the damaged suffix is cut from the file so
- * that new entries follow the intact ones, and the tasks it covered
- * are re-simulated. Appends are serialized by a mutex and flushed per
- * record, so concurrent sweep workers can journal safely.
+ * File layout: a sequence of snapshot frames (snapshot/snapshot.hh),
+ * one per record, each holding the record's "RREC" section. A frame
+ * checks its own length and CRC, so a torn tail (the process died
+ * mid-append), a corrupt entry or a frame that holds no record simply
+ * ends recovery there: every entry before it is kept, the damaged
+ * suffix is cut from the file so that new entries follow the intact
+ * ones, and the tasks it covered are re-simulated. Appends are
+ * serialized by a mutex and flushed per record, so concurrent sweep
+ * workers can journal safely.
  */
 
 #ifndef MORC_SWEEP_JOURNAL_HH
@@ -52,7 +51,8 @@ class Journal
     explicit Journal(std::string path) : path_(std::move(path)) {}
 
     /** Recover intact records from an existing journal file (missing
-     *  file = empty journal). A torn or corrupt entry ends recovery:
+     *  file = empty journal). A torn or corrupt entry, or a frame
+     *  that holds no record, ends recovery:
      *  everything before it is kept, and the file is cut back to the
      *  end of the last intact entry, so later appends stay reachable.
      *  A failed cut is reported once on stderr, as append() reports a

@@ -293,7 +293,7 @@ TEST(Sc2, RetrainsPeriodically)
     Sc2Cache c(cfg);
     for (Addr a = 0; a < 3000; a++)
         c.insert(a << kLineShift, compressibleLine(1), false);
-    EXPECT_GE(c.retrainings(), 4u);
+    EXPECT_GE(c.stats().retrainings, 4u);
 }
 
 TEST(Sc2, HitDataIntact)

@@ -222,8 +222,7 @@ TEST(Auditor, AuditIsSideEffectFree)
         }
     }
     EXPECT_EQ(audited.validLines(), plain.validLines());
-    EXPECT_EQ(audited.stats().readHits, plain.stats().readHits);
-    EXPECT_EQ(audited.logFlushes(), plain.logFlushes());
+    EXPECT_EQ(audited.stats(), plain.stats());
 }
 
 /* ------------------------------------------------------------------ */

@@ -255,18 +255,18 @@ TEST_P(MorcBudgetSweep, FunctionalUnderAllBudgets)
     static const std::map<std::tuple<double, unsigned, bool>,
                           std::uint64_t>
         kDigests = {
-            {{1.0, 2, false}, 0x9acab42e0ff5a421ull},
-            {{1.0, 2, true}, 0x72ab74149f9efeull},
-            {{1.0, 8, false}, 0x5c9f830125ce343full},
-            {{1.0, 8, true}, 0xe1991eda85aae0cull},
-            {{2.0, 2, false}, 0xb8869a4bf6d2f49aull},
-            {{2.0, 2, true}, 0x870fe42a351b0d0bull},
-            {{2.0, 8, false}, 0x3c2b5f7794f68012ull},
-            {{2.0, 8, true}, 0x3c916037e9d543d5ull},
-            {{4.0, 2, false}, 0x524f984ccc1e56eaull},
-            {{4.0, 2, true}, 0xe4abafa8ae80a61bull},
-            {{4.0, 8, false}, 0xe9c42363442e2562ull},
-            {{4.0, 8, true}, 0x6f7de63ec90c9025ull},
+            {{1.0, 2, false}, 0xbfa9dfda45b3fefeull},
+            {{1.0, 2, true}, 0x521c346a5d9dd3b2ull},
+            {{1.0, 8, false}, 0x319679fee4000524ull},
+            {{1.0, 8, true}, 0xc9292507a622cfe0ull},
+            {{2.0, 2, false}, 0x344068f52fdc71d2ull},
+            {{2.0, 2, true}, 0x91fa23811dfec71full},
+            {{2.0, 8, false}, 0xe8dae0568442c1eeull},
+            {{2.0, 8, true}, 0xed8c63efdd6d16f1ull},
+            {{4.0, 2, false}, 0x65a6a91ed9332fa2ull},
+            {{4.0, 2, true}, 0xa070281a4dbde42full},
+            {{4.0, 8, false}, 0xa06c3b2f0b8a5a7eull},
+            {{4.0, 8, true}, 0xded9c5cf46089d01ull},
         };
     const auto it = kDigests.find(GetParam());
     ASSERT_NE(it, kDigests.end());

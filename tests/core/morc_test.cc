@@ -169,7 +169,7 @@ TEST(Morc, ModifiedLinesWriteBackOnFlush)
         }
     }
     EXPECT_GT(wb_count, 0u);
-    EXPECT_GT(c.logFlushes(), 0u);
+    EXPECT_GT(c.stats().logFlushes, 0u);
 }
 
 TEST(Morc, CleanLinesAreDroppedSilently)
@@ -185,7 +185,7 @@ TEST(Morc, CleanLinesAreDroppedSilently)
         wbs += c.insert(a, randomLine(rng), false).writebacks.size();
     }
     EXPECT_EQ(wbs, 0u); // nothing dirty, nothing written back
-    EXPECT_GT(c.logFlushes(), 0u);
+    EXPECT_GT(c.stats().logFlushes, 0u);
 }
 
 TEST(Morc, FunctionalAgainstReferenceMemory)
@@ -227,7 +227,7 @@ TEST(Morc, LogReuseAvoidsFlushes)
         const Addr a = rng.below(32) << kLineShift;
         c.insert(a, randomLine(rng), true);
     }
-    EXPECT_GT(c.logReuses(), 0u);
+    EXPECT_GT(c.stats().logReuses, 0u);
 }
 
 TEST(Morc, LmtConflictEvictions)
@@ -239,7 +239,7 @@ TEST(Morc, LmtConflictEvictions)
     LogCache c(cfg);
     for (Addr a = 0; a < 2000; a++)
         c.insert(a << kLineShift, zeroLine(), false);
-    EXPECT_GT(c.lmtConflictEvictions(), 0u);
+    EXPECT_GT(c.stats().lmtConflictEvicts, 0u);
 }
 
 TEST(Morc, TwoWayLmtReducesConflicts)
@@ -253,7 +253,7 @@ TEST(Morc, TwoWayLmtReducesConflicts)
         Rng rng(ways);
         for (int i = 0; i < 30000; i++)
             c.insert(rng.below(400) << kLineShift, zeroLine(), false);
-        return c.lmtConflictEvictions();
+        return c.stats().lmtConflictEvicts;
     };
     EXPECT_LT(run(2), run(1));
 }
@@ -274,7 +274,7 @@ TEST(Morc, AliasedMissesAreCountedAndMiss)
             misses++;
     }
     EXPECT_EQ(misses, 1000u); // absent lines never falsely hit
-    EXPECT_GT(c.lmtAliasedMisses(), 0u);
+    EXPECT_GT(c.stats().lmtAliasedMisses, 0u);
 }
 
 TEST(Morc, MergedTagsFitWithinLog)
@@ -320,7 +320,7 @@ TEST(Morc, CompressionDisabledStoresRaw)
     for (Addr a = 0; a < 10000; a++)
         c.insert(a << kLineShift, zeroLine(), false);
     EXPECT_LE(c.compressionRatio(), 1.01);
-    EXPECT_EQ(stateDigest(c), 0xb6ac234df6c74b7bull);
+    EXPECT_EQ(stateDigest(c), 0xff54c68cbd95919bull);
 }
 
 TEST(Morc, UnlimitedMetaLiftsLmtCap)
@@ -331,7 +331,7 @@ TEST(Morc, UnlimitedMetaLiftsLmtCap)
     for (Addr a = 0; a < 600000; a++)
         c.insert(a << kLineShift, zeroLine(), false);
     EXPECT_GT(c.compressionRatio(), 10.0); // beyond the 8x LMT limit
-    EXPECT_EQ(stateDigest(c), 0x6378aba1e3d0c0ebull);
+    EXPECT_EQ(stateDigest(c), 0xc7d8ee1d3f19c982ull);
 }
 
 TEST(Morc, MoreActiveLogsHelpMixedStreams)
@@ -459,22 +459,22 @@ TEST_P(MorcGeometry, FunctionalAndBounded)
     // their whole budget), so the trial budget arithmetic cannot drift.
     static const std::map<std::tuple<unsigned, unsigned>, std::uint64_t>
         kDigests = {
-            {{64, 1}, 0x93852c02c942c1a7ull},
-            {{64, 4}, 0xb3010c14a5eef094ull},
-            {{64, 8}, 0x3fdb6fdb89babc43ull},
-            {{64, 16}, 0x5f6611392a5b21f4ull},
-            {{256, 1}, 0xc8c41b2280322fb4ull},
-            {{256, 4}, 0x3ca34654b91083c5ull},
-            {{256, 8}, 0xb5425d0cbc8e8d4eull},
-            {{256, 16}, 0xb78de1a94353e94full},
-            {{512, 1}, 0xbdb6d0009de8edfull},
-            {{512, 4}, 0x86c9f4bd601f42f9ull},
-            {{512, 8}, 0x36a7a9c9df4fe032ull},
-            {{512, 16}, 0x9ca63a41e7441f0bull},
-            {{2048, 1}, 0xbc3d7898fa8695e6ull},
-            {{2048, 4}, 0x910c4972e0029c39ull},
-            {{2048, 8}, 0x6c22fdefd677577full},
-            {{2048, 16}, 0xda37a096676db1f7ull},
+            {{64, 1}, 0x20f1b5ce57f9b627ull},
+            {{64, 4}, 0xaca200bb92b46e3cull},
+            {{64, 8}, 0x36a1bf8101e3b037ull},
+            {{64, 16}, 0x16f8df4a554a8584ull},
+            {{256, 1}, 0x85d0f6a3525eb4f8ull},
+            {{256, 4}, 0x6870da5327096215ull},
+            {{256, 8}, 0xa8348ae5c4ff985aull},
+            {{256, 16}, 0x702dda7be623f637ull},
+            {{512, 1}, 0x7000c1044119bb73ull},
+            {{512, 4}, 0x488dccf34ea9de36ull},
+            {{512, 8}, 0x7d62b38328e065aeull},
+            {{512, 16}, 0x8389751d70832fffull},
+            {{2048, 1}, 0x8b82142658e5fa3aull},
+            {{2048, 4}, 0x4081a79425515761ull},
+            {{2048, 8}, 0xba8c5fac95dfa0fbull},
+            {{2048, 16}, 0x316d5a280580e18bull},
         };
     const auto it = kDigests.find(GetParam());
     ASSERT_NE(it, kDigests.end());

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "sim/l1.hh"
 #include "sim/memchannel.hh"
 #include "sim/system.hh"
+#include "telemetry/telemetry.hh"
 
 namespace morc {
 namespace sim {
@@ -332,6 +334,66 @@ TEST(System, EnergyBreakdownPopulated)
     EXPECT_GT(r.energyBreakdown.dramJ, 0.0);
     EXPECT_GT(r.energyBreakdown.decompJ, 0.0);
     EXPECT_GT(r.energyBreakdown.total(), 0.0);
+}
+
+/** Every probe @p llc publishes under "llc", read now. */
+std::vector<telemetry::Series>
+llcProbes(cache::Llc &llc)
+{
+    telemetry::Registry reg(1);
+    llc.registerProbes(reg, "llc");
+    reg.advanceTo(1);
+    return reg.snapshot().series;
+}
+
+TEST(System, WarmupZeroesEveryPublishedCounter)
+{
+    // A measured series counts from the counters' values at warm-up's
+    // end, so each must read zero there, a scheme's own counters
+    // included. A cold twin that measures the same window shows that
+    // the counter each case names counted events in it.
+    const std::pair<Scheme, std::string> cases[] = {
+        {Scheme::Touche, "llc.recompactions"},
+        {Scheme::Morc, "llc.log_reuses"},
+    };
+    constexpr std::uint64_t kWarmup = 300'000;
+    for (const auto &[scheme, probe] : cases) {
+        SystemConfig cfg = smallConfig(scheme);
+        cfg.checkFunctional = false;
+        System cold(cfg, {trace::findBenchmark("gobmk")});
+        cold.measure(kWarmup);
+        bool counted = false;
+        for (const auto &s : llcProbes(cold.llc()))
+            counted |= s.name == probe && s.values[0] > 0.0;
+        EXPECT_TRUE(counted) << probe << " counts nothing in warm-up";
+
+        System warm(cfg, {trace::findBenchmark("gobmk")});
+        warm.warmup(kWarmup);
+        for (const auto &s : llcProbes(warm.llc())) {
+            if (s.kind == telemetry::ProbeKind::Counter) {
+                EXPECT_EQ(s.values[0], 0.0) << schemeName(scheme) << " "
+                                            << s.name;
+            }
+        }
+    }
+}
+
+TEST(System, BankedMorcPublishesTheFlatCatalog)
+{
+    SystemConfig cfg = smallConfig(Scheme::Morc);
+    System flat(cfg, {trace::findBenchmark("gcc")});
+    cfg.useMesh = true;
+    cfg.numCores = 4;
+    cfg.meshCfg.width = 2;
+    cfg.meshCfg.height = 2;
+    System banked(cfg, std::vector(4, trace::findBenchmark("gcc")));
+    std::vector<std::string> want, got;
+    for (const auto &s : llcProbes(flat.llc()))
+        want.push_back(s.name);
+    for (const auto &s : llcProbes(banked.llc()))
+        got.push_back(s.name);
+    EXPECT_EQ(std::count(want.begin(), want.end(), "llc.log_reuses"), 1);
+    EXPECT_EQ(got, want);
 }
 
 TEST(System, Uncompressed8xIsLarger)

@@ -202,6 +202,35 @@ TEST(Journal, CorruptEntryEndsRecoveryThere)
     std::remove(path.c_str());
 }
 
+TEST(Journal, FrameHoldingNoRecordEndsRecoveryThere)
+{
+    const std::string path = "/tmp/morc_journal_foreign.journal";
+    std::remove(path.c_str());
+    {
+        Journal j(path);
+        j.append(makeRecord("a", 1.0));
+        j.append(makeRecord("b", 2.0));
+    }
+    const std::uintmax_t records_end = std::filesystem::file_size(path);
+    // A valid frame, CRC and all, whose payload is not a record.
+    snap::Serializer foreign;
+    foreign.section("SCFG", [&] { foreign.u64(7); });
+    const std::vector<std::uint8_t> frame = foreign.frame();
+    std::FILE *f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(frame.data(), 1, frame.size(), f), frame.size());
+    std::fclose(f);
+
+    Journal j(path);
+    EXPECT_EQ(j.load(), 2u);
+    EXPECT_EQ(std::filesystem::file_size(path), records_end);
+    j.append(makeRecord("c", 3.0));
+    Journal again(path);
+    EXPECT_EQ(again.load(), 3u);
+    EXPECT_NE(again.lookup("c"), nullptr);
+    std::remove(path.c_str());
+}
+
 TEST(Journal, ResumeReproducesRecordsBitExactly)
 {
     // A sweep of six "tasks", killed after three: the resumed run

@@ -155,13 +155,14 @@ RESUMING = re.compile(r"\] (\w+): resuming, (\d+)/(\d+) tasks")
 
 
 def entry_ends(path):
-    """Offsets at which the journal entries at @path end (each is magic
-    "JREC", a u64 payload length, the payload and a u32 CRC)."""
+    """Offsets at which the journal entries at @path end (each is a
+    snapshot frame: magic, version and endian tag, a u64 payload length
+    at offset 16, the payload and a u32 CRC)."""
     with open(path, "rb") as f:
         data = f.read()
     ends, pos = [], 0
-    while pos + 12 <= len(data):
-        pos += 12 + int.from_bytes(data[pos + 4:pos + 12], "little") + 4
+    while pos + 24 <= len(data):
+        pos += 24 + int.from_bytes(data[pos + 16:pos + 24], "little") + 4
         ends.append(pos)
     return ends
 

@@ -1,105 +1,104 @@
 #!/usr/bin/env python3
-"""Perf-regression gate over google-benchmark JSON output.
+"""Perf-regression gate: one bench_speed run against one baseline.
 
 Usage:
-    perf_gate.py CURRENT.json BASELINE.json [--threshold 0.15]
-                 [--gate PREFIX] [--reference NAME]
+    perf_gate.py CURRENT.json BASELINE.json
 
-Compares a freshly measured bench_speed report against one checked-in
-baseline in bench/baselines/. Absolute times differ across hosts, so
-every gated benchmark's cpu_time is first normalized by the same
-report's reference benchmark (default BM_FpcLine/min_time:2.000 — the
-FPC codec is untouched by the hot paths the gates watch, so the ratio
-tracks algorithmic regressions, not machine speed). The gate fails
-(exit 1) when any gated benchmark is missing from the current report
-or its normalized time exceeds the baseline's by more than the
-threshold (default 15%), and exits 2 when the reference is missing or
-no baseline benchmark matches the gate prefix.
+CURRENT.json is one unfiltered run of build/bench/bench_speed with
+--benchmark_out_format=json. BASELINE.json is
+bench/baselines/bench_speed.json, the unedited output of this command
+at the code it gates; re-baselining is running it again:
 
-Regenerate a baseline after an intentional performance change, e.g.
-the KV one:
-    build/bench/bench_speed --benchmark_filter='^(BM_Kv|BM_FpcLine)' \
-        --benchmark_out=bench/baselines/BENCH_kv.json \
+    build/bench/bench_speed --benchmark_repetitions=20 \\
+        --benchmark_enable_random_interleaving=true \\
+        --benchmark_context=commit=$(git describe --always --dirty) \\
+        --benchmark_out=bench/baselines/bench_speed.json \\
         --benchmark_out_format=json
-BENCH_touche.json takes '^(BM_Touche|BM_FpcLine)', and
-BENCH_compress.json every codec benchmark: '-^(BM_Kv|BM_Touche)'.
+
+Interleaving spreads each benchmark's repetitions over the whole
+capture, so their spread includes the host's drift over minutes, not
+only back-to-back noise. google-benchmark's "context" block records
+the host, CPU and date of the capture, and commit= the code.
+
+Every benchmark in the baseline is gated. Each one's ratio is its
+current cpu_time over the median of its baseline repetitions. CURRENT
+may come from another host, so the ratios are divided by the host
+factor, their median over all benchmarks: a regression has to slow half
+of the benchmarks before it moves that factor. A benchmark fails when
+its normalized ratio exceeds its limit, MARGIN times the largest of its
+baseline repetitions over their median. MARGIN was chosen from
+separate runs of unchanged and of deliberately slowed code on the
+capture host (EXPERIMENTS.md, "One perf gate").
+
+Exit status: 0 when every benchmark is within its limit; 1 when one is
+over it, a baselined benchmark is missing from CURRENT, or CURRENT holds
+a benchmark the baseline lacks (baseline it first); 2 when a report
+cannot be read or a baselined benchmark has fewer than two repetitions
+to take a limit from.
 """
 
-import argparse
 import json
+import statistics
 import sys
 
+MARGIN = 1.3
 
-def load_benchmarks(path):
-    """Map benchmark name -> cpu_time (ns) from a google-benchmark
-    JSON report, keeping only plain iteration entries (no aggregates)."""
+
+def load_times(path):
+    """Map benchmark name -> its cpu_times (ns), one per repetition,
+    from a google-benchmark JSON report; aggregates are skipped."""
     with open(path) as f:
         report = json.load(f)
+    scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
     out = {}
-    for b in report.get("benchmarks", []):
+    for b in report["benchmarks"]:
         if b.get("run_type", "iteration") != "iteration":
             continue
-        unit = b.get("time_unit", "ns")
-        scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}[unit]
-        out[b["name"]] = float(b["cpu_time"]) * scale
+        t = float(b["cpu_time"]) * scale[b.get("time_unit", "ns")]
+        if t <= 0:
+            raise ValueError(f"{b['name']}: non-positive cpu_time")
+        out.setdefault(b["name"], []).append(t)
     return out
 
 
 def main():
-    ap = argparse.ArgumentParser(
-        description="google-benchmark perf regression gate")
-    ap.add_argument("current", help="freshly measured benchmark JSON")
-    ap.add_argument("baseline", help="checked-in baseline JSON")
-    ap.add_argument("--threshold", type=float, default=0.15,
-                    help="max allowed normalized regression "
-                         "(0.15 = 15%%)")
-    ap.add_argument("--gate", default="BM_Lbe",
-                    help="gate benchmarks whose name starts with this "
-                         "prefix")
-    ap.add_argument("--reference", default="BM_FpcLine/min_time:2.000",
-                    help="normalization benchmark (must be in both "
-                         "reports)")
-    args = ap.parse_args()
-
-    cur = load_benchmarks(args.current)
-    base = load_benchmarks(args.baseline)
-
-    for name, times in (("current", cur), ("baseline", base)):
-        if args.reference not in times:
-            print(f"perf gate: reference {args.reference} missing from "
-                  f"{name} report", file=sys.stderr)
-            return 2
-        if times[args.reference] <= 0:
-            print(f"perf gate: non-positive reference time in {name} "
-                  f"report", file=sys.stderr)
-            return 2
-
-    gated = sorted(n for n in base if n.startswith(args.gate))
-    if not gated:
-        print(f"perf gate: no benchmarks match prefix {args.gate!r} in "
-              f"baseline", file=sys.stderr)
+    if len(sys.argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    try:
+        cur = load_times(sys.argv[1])
+        base = load_times(sys.argv[2])
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        print(f"perf gate: cannot read report: {e!r}", file=sys.stderr)
+        return 2
+    thin = sorted(n for n, ts in base.items() if len(ts) < 2)
+    if not base or thin:
+        print(f"perf gate: baseline needs two or more repetitions of "
+              f"every benchmark to take limits from; "
+              f"{', '.join(thin) or 'it has none'}", file=sys.stderr)
         return 2
 
-    failures = []
-    print(f"perf gate: normalizing by {args.reference} "
-          f"(current {cur[args.reference]:.0f} ns, "
-          f"baseline {base[args.reference]:.0f} ns), "
-          f"threshold +{args.threshold:.0%}")
-    for name in gated:
-        if name not in cur:
-            failures.append(f"{name}: missing from current report")
-            continue
-        cur_norm = cur[name] / cur[args.reference]
-        base_norm = base[name] / base[args.reference]
-        ratio = cur_norm / base_norm
-        verdict = "OK"
-        if ratio > 1.0 + args.threshold:
-            verdict = "REGRESSION"
-            failures.append(
-                f"{name}: normalized time {ratio:.2f}x baseline "
-                f"(limit {1.0 + args.threshold:.2f}x)")
-        print(f"  {name:<24} {cur[name]:>9.0f} ns  norm {cur_norm:6.2f} "
-              f"(baseline {base_norm:6.2f})  {ratio:5.2f}x  {verdict}")
+    failures = [f"{n}: missing from the current run"
+                for n in sorted(base.keys() - cur.keys())]
+    failures += [f"{n}: not in the baseline; re-baseline to gate it"
+                 for n in sorted(cur.keys() - base.keys())]
+    centre = {n: statistics.median(ts) for n, ts in base.items()}
+    ratio = {n: statistics.median(cur[n]) / centre[n]
+             for n in base if n in cur}
+    if ratio:
+        host = statistics.median(ratio.values())
+        print(f"perf gate: host factor {host:.3f} (median ratio to "
+              f"baseline), margin {MARGIN}")
+        for n in sorted(ratio):
+            norm = ratio[n] / host
+            limit = MARGIN * max(base[n]) / centre[n]
+            verdict = "OK"
+            if norm > limit:
+                verdict = "REGRESSION"
+                failures.append(f"{n}: {norm:.2f}x baseline after the "
+                                f"host factor, limit {limit:.2f}x")
+            print(f"  {n:<40} {norm:5.2f}x  limit {limit:4.2f}x  "
+                  f"{verdict}")
 
     if failures:
         print("perf gate FAILED:", file=sys.stderr)
